@@ -29,7 +29,7 @@
 //! always holds and the message count is bounded by `e(ε + 1)`
 //! (Proposition 5.1 — verified by tests and the `messages` experiment).
 
-use crate::common::Ctx;
+use crate::common::{Ctx, Planner};
 use ft_graph::TaskId;
 use ft_model::{CommModel, FtSchedule, MsgSpec, Replica, ReplicaRef};
 use ft_platform::{Instance, ProcId};
@@ -118,45 +118,90 @@ pub fn caft_with(inst: &Instance, opts: CaftOptions) -> FtSchedule {
     if opts.insertion {
         ctx = ctx.with_insertion();
     }
-    // supports[t][k]: bitmask over processors the completion of replica
-    // t^(k+1) transitively depends on. Maintained in both modes (cheap),
-    // enforced only under `disjoint_lineages`.
-    let mut supports: Vec<Vec<u64>> = vec![Vec::new(); inst.num_tasks()];
     while let Some(t) = ctx.pop_task() {
-        schedule_task(&mut ctx, t, &opts, &mut supports);
+        schedule_task(&mut ctx, t, &opts);
         ctx.finish_task(t);
     }
     ctx.sched
 }
 
 #[inline]
-fn proc_bit(p: ProcId) -> u64 {
+pub(crate) fn proc_bit(p: ProcId) -> u64 {
     1u64 << (p.index() & 63)
 }
 
-/// Places the `ε + 1` replicas of one task for the windowed variant
-/// (crate-internal handle over [`schedule_task`]).
-pub(crate) fn schedule_task_for(
-    ctx: &mut Ctx<'_>,
-    t: TaskId,
-    opts: &CaftOptions,
-    supports: &mut Vec<Vec<u64>>,
-) {
-    schedule_task(ctx, t, opts, supports);
+/// Reusable buffers of CAFT's task placement (Algorithm 5.1, lines
+/// 10–20), carried by the run's [`CaftScratch`](crate::CaftScratch).
+#[derive(Debug, Default)]
+pub(crate) struct PlaceBufs {
+    /// `supports[t][k]`: bitmask over processors the completion of
+    /// replica `t^(k+1)` transitively depends on. Maintained in both
+    /// modes (cheap), enforced only under `disjoint_lineages`.
+    pub(crate) supports: Vec<Vec<u64>>,
+    /// P̄ — processors locked for the current task (hosting one of its
+    /// replicas or feeding one of them).
+    locked: Vec<ProcId>,
+    /// Processors a fill-in replica must avoid.
+    excluded: Vec<ProcId>,
+    /// Processors already hosting a replica of the current task.
+    hosting: Vec<ProcId>,
+    /// `B̄(tj)` per predecessor edge of the current task, in the first
+    /// `in_degree(t)` entries (the rest keep their capacity for wider
+    /// tasks).
+    bbar: Vec<Vec<Replica>>,
+    /// Predecessor replicas per processor (the singleton test).
+    count: Vec<usize>,
+    /// The one-to-one candidate under evaluation, and the best so far.
+    cur: Round,
+    best: Round,
+    /// Hardened fill-in specs.
+    specs: Vec<MsgSpec>,
+    planner: Planner,
 }
 
-/// Places the `ε + 1` replicas of one task (Algorithm 5.1, lines 10–20).
-fn schedule_task(ctx: &mut Ctx<'_>, t: TaskId, opts: &CaftOptions, supports: &mut Vec<Vec<u64>>) {
+impl PlaceBufs {
+    /// Forgets the previous run's supports (`v` tasks, none placed).
+    pub(crate) fn reset(&mut self, v: usize) {
+        self.supports.truncate(v);
+        for s in &mut self.supports {
+            s.clear();
+        }
+        self.supports.resize_with(v, Vec::new);
+    }
+}
+
+/// One assembled one-to-one placement (Algorithm 5.2, lines 4–6).
+#[derive(Debug, Default)]
+struct Round {
+    specs: Vec<MsgSpec>,
+    /// Sender processors to lock (eq. (7)).
+    senders: Vec<ProcId>,
+    /// Which head replica of each predecessor was consumed (None when a
+    /// co-located replica outside B̄ supplied the data).
+    heads: Vec<Option<ReplicaRef>>,
+    /// Transitive support mask of the new replica (hardened mode; own
+    /// processor only otherwise).
+    support: u64,
+}
+
+/// Places the `ε + 1` replicas of one task (Algorithm 5.1, lines 10–20)
+/// through the run's placement buffers.
+pub(crate) fn schedule_task(ctx: &mut Ctx<'_>, t: TaskId, opts: &CaftOptions) {
+    let mut b = std::mem::take(&mut ctx.place);
+    place_replicas(ctx, t, opts, &mut b);
+    ctx.place = b;
+}
+
+fn place_replicas(ctx: &mut Ctx<'_>, t: TaskId, opts: &CaftOptions, b: &mut PlaceBufs) {
     let replicas_needed = opts.eps + 1;
-    // P̄ — processors locked for this task (hosting one of its replicas or
-    // feeding one of them).
-    let mut locked: Vec<ProcId> = Vec::new();
+    b.locked.clear();
 
     // B̄(tj): replicas of each predecessor on singleton processors.
-    let mut bbar: Vec<Vec<Replica>> = singleton_replica_sets(ctx, t);
-    let theta = if opts.one_to_one && !bbar.is_empty() {
-        bbar.iter()
-            .map(|b| b.len())
+    let preds = singleton_replica_sets(ctx, t, &mut b.bbar, &mut b.count);
+    let theta = if opts.one_to_one && preds > 0 {
+        b.bbar[..preds]
+            .iter()
+            .map(|x| x.len())
             .min()
             .unwrap_or(0)
             .min(replicas_needed)
@@ -167,96 +212,111 @@ fn schedule_task(ctx: &mut Ctx<'_>, t: TaskId, opts: &CaftOptions, supports: &mu
     let mut copy = 0usize;
     // --- One-to-one mapping rounds (Algorithm 5.2). ---
     while copy < theta {
+        b.hosting.clear();
+        b.hosting
+            .extend(ctx.sched.replicas_of(t).iter().map(|r| r.proc));
         let lineage = opts.disjoint_lineages.then(|| LineageCtx {
-            supports,
-            placed: &supports[t.index()],
+            supports: &b.supports,
+            placed: &b.supports[t.index()],
             remaining_fillins: replicas_needed - copy - 1,
             m: ctx.inst.num_procs(),
         });
-        match one_to_one_round(ctx, t, copy, &locked, &bbar, lineage) {
-            Some(round) => {
-                ctx.commit(t, copy, round.proc, &round.specs);
-                supports[t.index()].push(round.support);
-                locked.push(round.proc);
-                if opts.lock_senders {
-                    for &s in &round.senders {
-                        if !locked.contains(&s) {
-                            locked.push(s);
-                        }
-                    }
+        let candidates = Candidates {
+            locked: &b.locked,
+            hosting: &b.hosting,
+            bbar: &b.bbar[..preds],
+        };
+        let won = one_to_one_round(
+            ctx,
+            t,
+            copy,
+            candidates,
+            lineage,
+            [&mut b.cur, &mut b.best],
+            &mut b.planner,
+        );
+        // No unlocked candidate left: fall through to fill-in, which
+        // relaxes the exclusions.
+        let Some(proc) = won else { break };
+        let round = &b.best;
+        ctx.commit(t, copy, proc, &round.specs);
+        b.supports[t.index()].push(round.support);
+        b.locked.push(proc);
+        if opts.lock_senders {
+            for &s in &round.senders {
+                if !b.locked.contains(&s) {
+                    b.locked.push(s);
                 }
-                // Pop the used heads from B̄ (Algorithm 5.2, line 11).
-                for (j, used) in round.heads.iter().enumerate() {
-                    if let Some(r) = used {
-                        bbar[j].retain(|x| x.of != *r);
-                    }
-                }
-                copy += 1;
             }
-            // No unlocked candidate left: fall through to fill-in, which
-            // relaxes the exclusions.
-            None => break,
         }
+        // Pop the used heads from B̄ (Algorithm 5.2, line 11).
+        for (j, used) in round.heads.iter().enumerate() {
+            if let Some(r) = used {
+                b.bbar[j].retain(|x| x.of != *r);
+            }
+        }
+        copy += 1;
     }
 
     // --- FTSA-style fill-in for the remaining replicas (lines 16–20). ---
     while copy < replicas_needed {
-        let mut excluded = locked.clone();
-        for p in ctx.procs_hosting(t) {
-            if !excluded.contains(&p) {
-                excluded.push(p);
-            }
-        }
-        if opts.disjoint_lineages {
-            // A fill-in replica's support is its own processor, which must
-            // stay outside every sibling's support.
-            let union: u64 = supports[t.index()].iter().fold(0, |a, &b| a | b);
-            for p in ctx.candidate_procs() {
-                if union & proc_bit(p) != 0 && !excluded.contains(&p) {
-                    excluded.push(p);
-                }
+        b.excluded.clear();
+        b.excluded.extend_from_slice(&b.locked);
+        for r in ctx.sched.replicas_of(t) {
+            if !b.excluded.contains(&r.proc) {
+                b.excluded.push(r.proc);
             }
         }
         let best = if opts.disjoint_lineages {
+            // A fill-in replica's support is its own processor, which must
+            // stay outside every sibling's support.
+            let union: u64 = b.supports[t.index()].iter().fold(0, |a, &x| a | x);
+            for p in ctx.candidate_procs() {
+                if union & proc_bit(p) != 0 && !b.excluded.contains(&p) {
+                    b.excluded.push(p);
+                }
+            }
             // Rank with hardened specs so the EFT estimate matches what is
             // committed.
             let mut best: Option<(f64, ProcId)> = None;
             for p in ctx.candidate_procs() {
-                if excluded.contains(&p) {
+                if b.excluded.contains(&p) {
                     continue;
                 }
-                let specs = hardened_fanin_specs(ctx, t, copy, p, supports);
-                let cand = ctx.eval(t, p, &specs);
+                hardened_fanin_specs(ctx, t, copy, p, &b.supports, &mut b.specs);
+                let cand = ctx.eval(t, p, &b.specs, &mut b.planner);
                 if best.is_none_or(|(eft, bp)| {
                     cand.eft.total_cmp(&eft).then_with(|| p.cmp(&bp)) == std::cmp::Ordering::Less
                 }) {
                     best = Some((cand.eft, p));
                 }
             }
-            best.expect("hardened one-to-one rounds reserve clean processors for fill-ins")
-                .1
+            let best = best
+                .expect("hardened one-to-one rounds reserve clean processors for fill-ins")
+                .1;
+            hardened_fanin_specs(ctx, t, copy, best, &b.supports, &mut b.specs);
+            ctx.commit(t, copy, best, &b.specs);
+            best
         } else {
-            let mut ranked = ctx.rank_candidates_full_fanin(t, copy, &excluded);
-            if ranked.is_empty() {
-                // Every processor is locked: relax the sender locks (keep
-                // only the hard space-exclusion constraint).
-                let hosting = ctx.procs_hosting(t);
-                ranked = ctx.rank_candidates_full_fanin(t, copy, &hosting);
-            }
-            ranked
-                .first()
-                .expect("platform has more processors than replicas")
-                .proc
+            let best = match ctx.best_candidate_full_fanin(t, copy, &b.excluded) {
+                Some(c) => c.proc,
+                None => {
+                    // Every processor is locked: relax the sender locks
+                    // (keep only the hard space-exclusion constraint).
+                    b.hosting.clear();
+                    b.hosting
+                        .extend(ctx.sched.replicas_of(t).iter().map(|r| r.proc));
+                    ctx.best_candidate_full_fanin(t, copy, &b.hosting)
+                        .expect("platform has more processors than replicas")
+                        .proc
+                }
+            };
+            ctx.commit_full_fanin(t, copy, best);
+            best
         };
-        let specs = if opts.disjoint_lineages {
-            hardened_fanin_specs(ctx, t, copy, best, supports)
-        } else {
-            ctx.full_fanin_specs(t, copy, best)
-        };
-        ctx.commit(t, copy, best, &specs);
-        supports[t.index()].push(proc_bit(best));
-        if !locked.contains(&best) {
-            locked.push(best);
+        b.supports[t.index()].push(proc_bit(best));
+        if !b.locked.contains(&best) {
+            b.locked.push(best);
         }
         copy += 1;
     }
@@ -265,7 +325,7 @@ fn schedule_task(ctx: &mut Ctx<'_>, t: TaskId, opts: &CaftOptions, supports: &mu
 /// Lineage-tracking context for hardened one-to-one rounds.
 struct LineageCtx<'a> {
     /// Per-replica supports of every scheduled task.
-    supports: &'a Vec<Vec<u64>>,
+    supports: &'a [Vec<u64>],
     /// Supports of the replicas of the current task placed so far.
     placed: &'a [u64],
     /// Fill-in replicas still owed after this round.
@@ -293,67 +353,71 @@ impl LineageCtx<'_> {
     }
 }
 
-/// The outcome of evaluating one one-to-one round.
-struct OneToOneRound {
-    proc: ProcId,
-    specs: Vec<MsgSpec>,
-    /// Sender processors to lock (eq. (7)).
-    senders: Vec<ProcId>,
-    /// Which head replica of each predecessor was consumed (None when a
-    /// co-located replica outside B̄ supplied the data).
-    heads: Vec<Option<ReplicaRef>>,
-    /// Transitive support mask of the new replica (hardened mode; own
-    /// processor only otherwise).
-    support: u64,
+/// What a one-to-one round may use: processors outside `locked` and
+/// `hosting`, fed by the singleton replicas `bbar`.
+struct Candidates<'a> {
+    locked: &'a [ProcId],
+    hosting: &'a [ProcId],
+    bbar: &'a [Vec<Replica>],
 }
 
-/// Computes `B̄(tj)` for every predecessor of `t`: replicas living on
-/// processors that host exactly one replica among all predecessors'
-/// replicas. Returns an empty vector for entry tasks.
-fn singleton_replica_sets(ctx: &Ctx<'_>, t: TaskId) -> Vec<Vec<Replica>> {
+/// Computes `B̄(tj)` for every predecessor edge `j` of `t` into
+/// `bbar[j]`: replicas living on processors that host exactly one
+/// replica among all predecessors' replicas. Returns the number of
+/// predecessor edges (0 for entry tasks).
+fn singleton_replica_sets(
+    ctx: &Ctx<'_>,
+    t: TaskId,
+    bbar: &mut Vec<Vec<Replica>>,
+    count: &mut Vec<usize>,
+) -> usize {
     let g = &ctx.inst.graph;
-    if g.in_degree(t) == 0 {
-        return Vec::new();
+    let in_edges = g.in_edges(t);
+    if bbar.len() < in_edges.len() {
+        bbar.resize_with(in_edges.len(), Vec::new);
     }
-    let m = ctx.inst.num_procs();
-    let mut count = vec![0usize; m];
-    for &e in g.in_edges(t) {
-        let pred = g.edge(e).src;
-        for r in ctx.sched.replicas_of(pred) {
+    for b in &mut bbar[..in_edges.len()] {
+        b.clear();
+    }
+    if in_edges.is_empty() {
+        return 0;
+    }
+    count.clear();
+    count.resize(ctx.inst.num_procs(), 0);
+    for &e in in_edges {
+        for r in ctx.sched.replicas_of(g.edge(e).src) {
             count[r.proc.index()] += 1;
         }
     }
-    g.in_edges(t)
-        .iter()
-        .map(|&e| {
-            let pred = g.edge(e).src;
+    for (b, &e) in bbar.iter_mut().zip(in_edges) {
+        b.extend(
             ctx.sched
-                .replicas_of(pred)
+                .replicas_of(g.edge(e).src)
                 .iter()
-                .filter(|r| count[r.proc.index()] == 1)
-                .copied()
-                .collect()
-        })
-        .collect()
+                .filter(|r| count[r.proc.index()] == 1),
+        );
+    }
+    in_edges.len()
 }
 
-/// Full fan-in specs for a hardened fill-in replica: like
-/// [`Ctx::full_fanin_specs`], but the co-location short-circuit is only
-/// taken when the local copy is *self-supported* (its support is exactly
-/// its own processor). A co-located chain replica can starve even while
-/// its processor lives, so relying on it alone would break the fill-in
-/// invariant "survives iff own processor survives"; in that case the
-/// remote copies are kept as backups.
+/// Full fan-in specs for a hardened fill-in replica, written into
+/// `specs`: like [`Ctx::full_fanin_specs`], but the co-location
+/// short-circuit is only taken when the local copy is *self-supported*
+/// (its support is exactly its own processor). A co-located chain
+/// replica can starve even while its processor lives, so relying on it
+/// alone would break the fill-in invariant "survives iff own processor
+/// survives"; in that case the remote copies are kept as backups.
 fn hardened_fanin_specs(
     ctx: &Ctx<'_>,
     t: TaskId,
     copy: usize,
     dst: ProcId,
     supports: &[Vec<u64>],
-) -> Vec<MsgSpec> {
+    specs: &mut Vec<MsgSpec>,
+) {
     let g = &ctx.inst.graph;
     let dst_ref = ReplicaRef::new(t, copy);
-    let mut specs = Vec::new();
+    specs.clear();
     for &e in g.in_edges(t) {
         let pred = g.edge(e).src;
         let reps = ctx.sched.replicas_of(pred);
@@ -386,38 +450,41 @@ fn hardened_fanin_specs(
             });
         }
     }
-    specs
 }
 
 /// Evaluates every unlocked processor for one one-to-one placement and
-/// returns the winning round, or `None` if no candidate remains.
+/// returns the winner, its round left in `rounds[1]`, or `None` if no
+/// candidate remains. `rounds[0]` is the evaluation buffer; the two swap
+/// whenever a candidate beats the best so far.
 fn one_to_one_round(
     ctx: &Ctx<'_>,
     t: TaskId,
     copy: usize,
-    locked: &[ProcId],
-    bbar: &[Vec<Replica>],
+    from: Candidates<'_>,
     lineage: Option<LineageCtx<'_>>,
-) -> Option<OneToOneRound> {
+    rounds: [&mut Round; 2],
+    planner: &mut Planner,
+) -> Option<ProcId> {
+    let [cur, best_round] = rounds;
     let g = &ctx.inst.graph;
     let in_edges = g.in_edges(t);
-    let mut best: Option<(f64, OneToOneRound)> = None;
+    let dst_ref = ReplicaRef::new(t, copy);
+    let mut best: Option<(f64, ProcId)> = None;
 
     'candidates: for p in ctx.candidate_procs() {
-        if locked.contains(&p) || ctx.procs_hosting(t).contains(&p) {
+        if from.locked.contains(&p) || from.hosting.contains(&p) {
             continue;
         }
-        let dst_ref = ReplicaRef::new(t, copy);
-        let mut specs = Vec::with_capacity(in_edges.len());
-        let mut senders = Vec::with_capacity(in_edges.len());
-        let mut heads = Vec::with_capacity(in_edges.len());
+        cur.specs.clear();
+        cur.senders.clear();
+        cur.heads.clear();
         let mut support = proc_bit(p);
         for (j, &e) in in_edges.iter().enumerate() {
             let pred = g.edge(e).src;
             // Co-location short-circuit (§6 note): if a replica of the
             // predecessor lives on the candidate itself, use it for free.
             if let Some(local) = ctx.sched.replicas_of(pred).iter().find(|r| r.proc == p) {
-                specs.push(MsgSpec {
+                cur.specs.push(MsgSpec {
                     edge: e,
                     src: local.of,
                     dst: dst_ref,
@@ -425,19 +492,24 @@ fn one_to_one_round(
                     ready: local.finish,
                     w: 0.0,
                 });
-                senders.push(local.proc);
+                cur.senders.push(local.proc);
                 if let Some(l) = &lineage {
                     support |= l.support_of(local.of);
                 }
                 // Pop it from B̄ only if it is a singleton replica.
-                heads.push(bbar[j].iter().any(|x| x.of == local.of).then_some(local.of));
+                cur.heads.push(
+                    from.bbar[j]
+                        .iter()
+                        .any(|x| x.of == local.of)
+                        .then_some(local.of),
+                );
                 continue;
             }
             // Head of B̄(tj): the replica with the earliest unconstrained
             // communication finish towards p (the sort of Alg. 5.2 line 3).
             // Under hardening, only heads whose support stays disjoint from
             // the sibling replicas' supports are admissible.
-            let head = bbar[j]
+            let head = from.bbar[j]
                 .iter()
                 .filter(|r| r.proc != p)
                 .filter(|r| match &lineage {
@@ -451,7 +523,7 @@ fn one_to_one_round(
                 });
             match head {
                 Some(h) => {
-                    specs.push(MsgSpec {
+                    cur.specs.push(MsgSpec {
                         edge: e,
                         src: h.of,
                         dst: dst_ref,
@@ -459,11 +531,11 @@ fn one_to_one_round(
                         ready: h.finish,
                         w: ctx.inst.comm_time(e, h.proc, p),
                     });
-                    senders.push(h.proc);
+                    cur.senders.push(h.proc);
                     if let Some(l) = &lineage {
                         support |= l.support_of(h.of);
                     }
-                    heads.push(Some(h.of));
+                    cur.heads.push(Some(h.of));
                 }
                 // B̄(tj) exhausted for this candidate (can happen when the
                 // only singleton replicas sit on p itself, already handled,
@@ -478,31 +550,24 @@ fn one_to_one_round(
                 continue 'candidates;
             }
         }
-        let cand = ctx.eval(t, p, &specs);
-        let better = match &best {
+        cur.support = support;
+        let cand = ctx.eval(t, p, &cur.specs, planner);
+        let better = match best {
             None => true,
-            Some((beft, bround)) => {
+            Some((beft, bproc)) => {
                 cand.eft
-                    .total_cmp(beft)
-                    .then_with(|| bround.proc.cmp(&p))
+                    .total_cmp(&beft)
+                    .then_with(|| bproc.cmp(&p))
                     .then_with(|| std::cmp::Ordering::Less)
                     == std::cmp::Ordering::Less
             }
         };
         if better {
-            best = Some((
-                cand.eft,
-                OneToOneRound {
-                    proc: p,
-                    specs,
-                    senders,
-                    heads,
-                    support,
-                },
-            ));
+            best = Some((cand.eft, p));
+            std::mem::swap(cur, best_round);
         }
     }
-    best.map(|(_, r)| r)
+    best.map(|(_, p)| p)
 }
 
 /// The unconstrained link finish `F̂(c, l)` of sending `r`'s data over edge

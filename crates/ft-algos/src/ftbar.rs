@@ -108,8 +108,7 @@ pub fn ftbar_with(inst: &Instance, opts: FtbarOptions) -> FtSchedule {
         let (t, _, procs) = best_task.expect("pool not empty");
         ctx.pool.remove(t);
         for (copy, &proc) in procs.iter().enumerate() {
-            let specs = ctx.full_fanin_specs(t, copy, proc);
-            let r = ctx.commit(t, copy, proc, &specs);
+            let r = ctx.commit_full_fanin(t, copy, proc);
             schedule_length = schedule_length.max(r.finish);
         }
         ctx.finish_task(t);

@@ -72,8 +72,7 @@ pub fn ftsa_with(inst: &Instance, opts: FtsaOptions) -> FtSchedule {
         for (copy, &proc) in chosen.iter().enumerate() {
             // Re-plan against the live state: earlier copies of t have
             // already consumed port time.
-            let specs = ctx.full_fanin_specs(t, copy, proc);
-            ctx.commit(t, copy, proc, &specs);
+            ctx.commit_full_fanin(t, copy, proc);
         }
         ctx.finish_task(t);
     }

@@ -39,10 +39,11 @@ pub mod subdag;
 pub mod windowed;
 
 pub use caft::{caft, caft_hardened, caft_with, CaftOptions};
+pub use common::CaftScratch;
 pub use ftbar::{ftbar, ftbar_with, FtbarOptions};
 pub use ftsa::{ftsa, ftsa_with, FtsaOptions};
 pub use heft::heft;
-pub use subdag::{caft_on_subdag, SubDagOutcome, SubDagSpec};
+pub use subdag::{caft_on_subdag, caft_on_subdag_in, SubDagOutcome, SubDagSpec, SubDagView};
 pub use windowed::{caft_windowed, caft_windowed_with, WindowedOptions};
 
 pub use ft_model::CommModel;

@@ -16,8 +16,17 @@ use ft_graph::{TaskGraph, TaskId};
 use ft_platform::Instance;
 
 /// Static bottom levels on the mean-cost weighted graph.
+///
+/// The mean delay is an `m²` sum over processor pairs, so it is taken
+/// once here rather than once per edge ([`Instance::mean_comm`] computes
+/// exactly `volume · mean_delay`, bit for bit).
 pub fn mean_bottom_levels(inst: &Instance) -> Vec<f64> {
-    bottom_levels(&inst.graph, |t| inst.exec.mean(t), |e| inst.mean_comm(e))
+    let mean_delay = inst.platform.mean_delay();
+    bottom_levels(
+        &inst.graph,
+        |t| inst.exec.mean(t),
+        |e| inst.graph.edge(e).volume * mean_delay,
+    )
 }
 
 /// A deterministic max-priority pool of free tasks.
@@ -34,6 +43,11 @@ impl FreePool {
     /// Empty pool.
     pub fn new() -> Self {
         FreePool { free: Vec::new() }
+    }
+
+    /// Empties the pool, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.free.clear();
     }
 
     /// Adds a freshly freed task.
@@ -97,8 +111,8 @@ impl Default for FreePool {
 }
 
 /// Tracks which tasks are free: a task is free once all predecessors are
-/// scheduled. Returns newly freed successors as tasks complete.
-#[derive(Clone, Debug)]
+/// scheduled. Reports newly freed successors as tasks complete.
+#[derive(Clone, Debug, Default)]
 pub struct ReadyTracker {
     remaining_preds: Vec<usize>,
 }
@@ -106,9 +120,9 @@ pub struct ReadyTracker {
 impl ReadyTracker {
     /// Initializes from the graph's in-degrees.
     pub fn new(g: &TaskGraph) -> Self {
-        ReadyTracker {
-            remaining_preds: g.tasks().map(|t| g.in_degree(t)).collect(),
-        }
+        let mut r = ReadyTracker::default();
+        r.reset(g, None);
+        r
     }
 
     /// Initializes for scheduling only the tasks with `in_subset[t]`,
@@ -121,34 +135,41 @@ impl ReadyTracker {
     /// "not yet executed" sub-DAGs, since a task cannot run before its
     /// predecessors).
     pub fn for_subset(g: &TaskGraph, in_subset: &[bool]) -> Self {
-        let remaining_preds = g
-            .tasks()
-            .map(|t| {
-                if !in_subset[t.index()] {
-                    return usize::MAX;
-                }
-                g.in_edges(t)
-                    .iter()
-                    .filter(|&&e| in_subset[g.edge(e).src.index()])
-                    .count()
-            })
-            .collect();
-        ReadyTracker { remaining_preds }
+        let mut r = ReadyTracker::default();
+        r.reset(g, Some(in_subset));
+        r
     }
 
-    /// The initially free (entry) tasks.
-    pub fn initial(&self) -> Vec<TaskId> {
+    /// Re-initializes in place, keeping the buffer: like
+    /// [`ReadyTracker::new`] for `None`, like [`ReadyTracker::for_subset`]
+    /// for `Some(in_subset)`.
+    pub fn reset(&mut self, g: &TaskGraph, in_subset: Option<&[bool]>) {
+        self.remaining_preds.clear();
+        self.remaining_preds.extend(g.tasks().map(|t| {
+            match in_subset {
+                None => g.in_degree(t),
+                Some(sub) if !sub[t.index()] => usize::MAX,
+                Some(sub) => g
+                    .in_edges(t)
+                    .iter()
+                    .filter(|&&e| sub[g.edge(e).src.index()])
+                    .count(),
+            }
+        }));
+    }
+
+    /// The initially free (entry) tasks, in id order.
+    pub fn initial(&self) -> impl Iterator<Item = TaskId> + '_ {
         self.remaining_preds
             .iter()
             .enumerate()
             .filter(|(_, &d)| d == 0)
             .map(|(i, _)| TaskId::from_index(i))
-            .collect()
     }
 
-    /// Marks `t` scheduled; returns the successors that just became free.
-    pub fn complete(&mut self, g: &TaskGraph, t: TaskId) -> Vec<TaskId> {
-        let mut freed = Vec::new();
+    /// Marks `t` scheduled; appends the successors that just became free
+    /// to `freed`.
+    pub fn complete(&mut self, g: &TaskGraph, t: TaskId, freed: &mut Vec<TaskId>) {
         for s in g.successors(t) {
             let c = &mut self.remaining_preds[s.index()];
             debug_assert!(*c > 0);
@@ -157,7 +178,6 @@ impl ReadyTracker {
                 freed.push(s);
             }
         }
-        freed
     }
 }
 
@@ -226,9 +246,12 @@ mod tests {
         b.add_edge(c, d, 1.0).unwrap();
         let g = b.build();
         let mut rt = ReadyTracker::new(&g);
-        assert_eq!(rt.initial(), vec![a, c]);
-        assert_eq!(rt.complete(&g, a), vec![]);
-        assert_eq!(rt.complete(&g, c), vec![d]);
+        assert_eq!(rt.initial().collect::<Vec<_>>(), vec![a, c]);
+        let mut freed = Vec::new();
+        rt.complete(&g, a, &mut freed);
+        assert_eq!(freed, vec![]);
+        rt.complete(&g, c, &mut freed);
+        assert_eq!(freed, vec![d]);
     }
 
     #[test]

@@ -22,15 +22,67 @@
 //! every surviving processor is unschedulable; it is skipped, its
 //! descendants stay unscheduled (empty replica lists), and the caller
 //! observes the gap (see [`SubDagOutcome::unscheduled`]).
+//!
+//! # Two entry points, one run
+//!
+//! * [`caft_on_subdag`] is the one-shot form: it computes the instance's
+//!   bottom levels, runs on a cold arena and returns an owned
+//!   [`SubDagOutcome`].
+//! * [`caft_on_subdag_in`] is the buffer form, for callers that replan
+//!   the same instance again and again (`ft-runtime`'s `Reschedule`
+//!   replans once per crash it learns of). The caller passes the mean
+//!   bottom levels — a function of the instance alone, so computed once
+//!   — and a [`CaftScratch`] arena it keeps. The run resets every buffer
+//!   of the arena in place (port state, schedule storage, priorities, the
+//!   free pool, the per-candidate spec/plan/key/port buffers, CAFT's
+//!   placement buffers) and leaves the repaired schedule inside it,
+//!   returned as a borrowed [`SubDagView`]. Once the arena has served one
+//!   run of the same or a larger shape, a run performs **no** heap
+//!   allocation.
+//!
+//! Both run the same code on the same [`Ctx`] and return byte-identical
+//! results (the one-shot form is a thin wrapper); what the arena held
+//! before never leaks into a result. The schedule-identity golden
+//! (`tests/schedule_identity.rs`) pins the outcomes byte for byte.
+//!
+//! ```
+//! use ft_algos::prio::mean_bottom_levels;
+//! use ft_algos::{caft_on_subdag, caft_on_subdag_in, CaftOptions, CaftScratch, SubDagSpec};
+//! use ft_graph::gen::{random_layered, RandomDagParams};
+//! use ft_platform::{random_instance, PlatformParams, ProcId};
+//! use rand::{rngs::StdRng, SeedableRng};
+//!
+//! let mut rng = StdRng::seed_from_u64(3);
+//! let g = random_layered(&RandomDagParams::default().with_tasks(20), &mut rng);
+//! let inst = random_instance(g, &PlatformParams::default(), 1.0, &mut rng);
+//! // Nothing has run yet; processors 0 and 1 are gone.
+//! let spec = SubDagSpec {
+//!     remnant: vec![true; inst.num_tasks()],
+//!     sources: vec![Vec::new(); inst.num_tasks()],
+//!     alive: (2..inst.num_procs()).map(ProcId::from_index).collect(),
+//!     release: 5.0,
+//! };
+//! let opts = CaftOptions::default();
+//! let bl = mean_bottom_levels(&inst); // once per instance
+//! let mut arena = CaftScratch::new(); // kept across replans
+//! for seed in 0..3 {
+//!     let opts = CaftOptions { seed, ..opts };
+//!     let view = caft_on_subdag_in(&inst, &spec, &opts, &bl, &mut arena);
+//!     let owned = caft_on_subdag(&inst, &spec, &opts);
+//!     assert_eq!(view.schedule.messages, owned.schedule.messages);
+//!     assert!(view.unscheduled.is_empty());
+//! }
+//! ```
 
-use crate::caft::{schedule_task_for, CaftOptions};
-use crate::common::Ctx;
+use crate::caft::{proc_bit, schedule_task, CaftOptions};
+use crate::common::{CaftScratch, Ctx};
+use crate::prio::mean_bottom_levels;
 use ft_graph::TaskId;
 use ft_model::{FtSchedule, Replica};
 use ft_platform::{Instance, ProcId};
 
 /// The input of an incremental rescheduling run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SubDagSpec {
     /// `remnant[t]`: task `t` still needs to execute.
     pub remnant: Vec<bool>,
@@ -55,12 +107,54 @@ pub struct SubDagOutcome {
     pub unscheduled: Vec<TaskId>,
 }
 
+/// The outcome of [`caft_on_subdag_in`], borrowed from its arena: the
+/// same fields as [`SubDagOutcome`], valid until the arena's next run.
+#[derive(Clone, Copy, Debug)]
+pub struct SubDagView<'s> {
+    /// The repaired schedule (remnant placements + frontier echoes).
+    pub schedule: &'s FtSchedule,
+    /// Remnant tasks that could not be (re)scheduled, as in
+    /// [`SubDagOutcome::unscheduled`].
+    pub unscheduled: &'s [TaskId],
+}
+
 /// Re-runs CAFT over the remnant sub-DAG on the surviving platform.
 ///
 /// `opts.eps` is the replication degree of the *new* placements; it is
 /// capped internally so the survivors can host `ε + 1` space-exclusive
 /// copies. The run is deterministic in `(inst, spec, opts)`.
+///
+/// Allocating wrapper over [`caft_on_subdag_in`] with a cold arena.
 pub fn caft_on_subdag(inst: &Instance, spec: &SubDagSpec, opts: &CaftOptions) -> SubDagOutcome {
+    let mut scratch = CaftScratch::new();
+    caft_on_subdag_in(inst, spec, opts, &mean_bottom_levels(inst), &mut scratch);
+    SubDagOutcome {
+        schedule: scratch.sched,
+        unscheduled: scratch.unscheduled,
+    }
+}
+
+/// [`caft_on_subdag`] through a caller-owned arena: the buffer entry
+/// point of online rescheduling.
+///
+/// `bl` must be `mean_bottom_levels(inst)`; they depend on the instance
+/// alone, so a caller replanning the same instance computes them once.
+/// Every buffer of the run — port state, schedule storage, priorities,
+/// the per-candidate spec and plan buffers — comes from `scratch` and
+/// stays there; with a warm arena (one earlier run of the same or a
+/// larger shape) the run performs no heap allocation. The result is
+/// byte-identical to [`caft_on_subdag`] whatever the arena held before.
+///
+/// # Panics
+/// Panics if `bl` does not cover every task, or under
+/// `opts.disjoint_lineages` on more than 64 processors.
+pub fn caft_on_subdag_in<'s>(
+    inst: &Instance,
+    spec: &SubDagSpec,
+    opts: &CaftOptions,
+    bl: &[f64],
+    scratch: &'s mut CaftScratch,
+) -> SubDagView<'s> {
     if opts.disjoint_lineages {
         // Same guard as `caft_with`: supports are 64-bit processor masks.
         assert!(
@@ -69,32 +163,26 @@ pub fn caft_on_subdag(inst: &Instance, spec: &SubDagSpec, opts: &CaftOptions) ->
         );
     }
     let eps = opts.eps.min(spec.alive.len().saturating_sub(1));
+    let mut unscheduled = std::mem::take(&mut scratch.unscheduled);
+    unscheduled.clear();
     let mut ctx = Ctx::for_subdag(
         inst,
         eps,
         opts.model,
         opts.seed,
-        &spec.remnant,
-        &spec.sources,
-        spec.alive.clone(),
-        spec.release,
+        spec,
+        bl,
+        std::mem::take(scratch),
     );
     let run_opts = CaftOptions { eps, ..*opts };
     let g = &inst.graph;
     // Frontier pseudo-replicas support themselves (used when the hardened
     // lineage mode is enabled for the repair run).
-    let mut supports: Vec<Vec<u64>> = vec![Vec::new(); inst.num_tasks()];
-    for (t, srcs) in spec.sources.iter().enumerate() {
-        let n = ctx
-            .sched
-            .replicas_of(TaskId::from_index(t))
-            .len()
-            .min(srcs.len());
-        for r in ctx.sched.replicas_of(TaskId::from_index(t)).iter().take(n) {
-            supports[t].push(1u64 << (r.proc.index() & 63));
+    for (t, echoes) in ctx.sched.replicas.iter().enumerate() {
+        for r in echoes {
+            ctx.place.supports[t].push(proc_bit(r.proc));
         }
     }
-    let mut unscheduled = Vec::new();
     while let Some(t) = ctx.pop_task() {
         // A remnant task is schedulable only if every non-remnant
         // predecessor left at least one surviving copy of its data.
@@ -109,7 +197,7 @@ pub fn caft_on_subdag(inst: &Instance, spec: &SubDagSpec, opts: &CaftOptions) ->
             unscheduled.push(t);
             continue;
         }
-        schedule_task_for(&mut ctx, t, &run_opts, &mut supports);
+        schedule_task(&mut ctx, t, &run_opts);
         ctx.finish_task(t);
     }
     // Tasks never freed (descendants of unscheduled ones) are also gaps.
@@ -121,9 +209,11 @@ pub fn caft_on_subdag(inst: &Instance, spec: &SubDagSpec, opts: &CaftOptions) ->
             unscheduled.push(t);
         }
     }
-    SubDagOutcome {
-        schedule: ctx.sched,
-        unscheduled,
+    *scratch = ctx.into_scratch();
+    scratch.unscheduled = unscheduled;
+    SubDagView {
+        schedule: &scratch.sched,
+        unscheduled: &scratch.unscheduled,
     }
 }
 

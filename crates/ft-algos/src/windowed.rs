@@ -78,7 +78,6 @@ pub fn caft_windowed_with(inst: &Instance, opts: WindowedOptions) -> FtSchedule 
     if co.insertion {
         ctx = ctx.with_insertion();
     }
-    let mut supports: Vec<Vec<u64>> = vec![Vec::new(); inst.num_tasks()];
     loop {
         // Draw up to `window` tasks in priority order.
         let mut window_tasks: Vec<TaskId> = Vec::with_capacity(opts.window);
@@ -93,27 +92,28 @@ pub fn caft_windowed_with(inst: &Instance, opts: WindowedOptions) -> FtSchedule 
         }
         // Most urgent member: largest (best-EFT + remaining bottom level
         // beyond own execution) — the projected makespan if scheduled now.
-        let chosen = if window_tasks.len() == 1 {
-            window_tasks[0]
-        } else {
-            *window_tasks
-                .iter()
-                .max_by(|&&a, &&b| {
-                    let ua = urgency(&ctx, a);
-                    let ub = urgency(&ctx, b);
-                    ua.total_cmp(&ub)
-                        .then_with(|| ctx.tie[a.index()].cmp(&ctx.tie[b.index()]))
-                        .then_with(|| b.cmp(&a))
-                })
-                .expect("window not empty")
-        };
+        let mut chosen = window_tasks[0];
+        if window_tasks.len() > 1 {
+            let mut best_urgency = urgency(&mut ctx, chosen);
+            for &t in &window_tasks[1..] {
+                let u = urgency(&mut ctx, t);
+                let ord = u
+                    .total_cmp(&best_urgency)
+                    .then_with(|| ctx.tie[t.index()].cmp(&ctx.tie[chosen.index()]))
+                    .then_with(|| chosen.cmp(&t));
+                if ord == std::cmp::Ordering::Greater {
+                    chosen = t;
+                    best_urgency = u;
+                }
+            }
+        }
         // The rest go back to the pool for the next decision.
         for t in window_tasks {
             if t != chosen {
                 ctx.pool.push(t);
             }
         }
-        crate::caft::schedule_task_for(&mut ctx, chosen, &co, &mut supports);
+        crate::caft::schedule_task(&mut ctx, chosen, &co);
         ctx.finish_task(chosen);
     }
     ctx.sched
@@ -121,11 +121,9 @@ pub fn caft_windowed_with(inst: &Instance, opts: WindowedOptions) -> FtSchedule 
 
 /// Projected schedule pressure of scheduling `t` now: its best first-copy
 /// EFT plus the path length remaining below it.
-fn urgency(ctx: &Ctx<'_>, t: TaskId) -> f64 {
+fn urgency(ctx: &mut Ctx<'_>, t: TaskId) -> f64 {
     let best = ctx
-        .rank_candidates_full_fanin(t, 0, &[])
-        .into_iter()
-        .next()
+        .best_candidate_full_fanin(t, 0, &[])
         .expect("at least one processor");
     // bl includes t's own execution; EFT already accounts for it, so the
     // remaining path is bl − mean exec.

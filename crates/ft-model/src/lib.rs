@@ -43,6 +43,6 @@ pub mod validate;
 pub use comm::{CommModel, MsgSpec, PlannedMsg};
 pub use replica::{Replica, ReplicaRef};
 pub use schedule::{FtSchedule, MessageRecord};
-pub use state::NetworkState;
+pub use state::{NetworkState, PlanScratch};
 pub use stats::{schedule_stats, ScheduleStats};
 pub use validate::{validate_schedule, ValidationError};

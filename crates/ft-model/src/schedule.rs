@@ -69,6 +69,20 @@ impl FtSchedule {
         }
     }
 
+    /// Re-initializes this schedule to [`FtSchedule::new`]`(v, eps,
+    /// model)` in place, keeping every buffer's capacity (outer and
+    /// per-task) for reuse.
+    pub fn reset(&mut self, v: usize, eps: usize, model: CommModel) {
+        self.model = model;
+        self.num_replicas = eps + 1;
+        self.replicas.truncate(v);
+        for r in &mut self.replicas {
+            r.clear();
+        }
+        self.replicas.resize_with(v, Vec::new);
+        self.messages.clear();
+    }
+
     /// Number of tasks.
     #[inline]
     pub fn num_tasks(&self) -> usize {

@@ -29,6 +29,22 @@ pub struct NetworkState {
     proc_ready: Vec<f64>,
 }
 
+/// Reusable temporaries of [`NetworkState::plan_batch_into`]: the
+/// equation (6) sort keys and the per-sender port times of one batch.
+#[derive(Clone, Debug, Default)]
+pub struct PlanScratch {
+    keyed: Vec<(f64, MsgSpec)>,
+    ports: Vec<(ProcId, f64)>,
+}
+
+impl Default for NetworkState {
+    /// An empty state (no processors) — a placeholder to
+    /// [`reset`](NetworkState::reset) before use.
+    fn default() -> Self {
+        NetworkState::new(0, CommModel::OnePort)
+    }
+}
+
 impl NetworkState {
     /// Fresh state for `m` processors under the given model.
     pub fn new(m: usize, model: CommModel) -> Self {
@@ -39,6 +55,22 @@ impl NetworkState {
             recv_free: vec![0.0; m],
             link_ready: vec![0.0; m * m],
             proc_ready: vec![0.0; m],
+        }
+    }
+
+    /// Re-initializes this state to [`NetworkState::new`]`(m, model)` in
+    /// place, keeping the buffers' capacity.
+    pub fn reset(&mut self, m: usize, model: CommModel) {
+        self.model = model;
+        self.m = m;
+        for (v, n) in [
+            (&mut self.send_free, m),
+            (&mut self.recv_free, m),
+            (&mut self.link_ready, m * m),
+            (&mut self.proc_ready, m),
+        ] {
+            v.clear();
+            v.resize(n, 0.0);
         }
     }
 
@@ -90,39 +122,58 @@ impl NetworkState {
     /// takes `[ready, ready + w]`.
     ///
     /// The returned vector is in serialization order (arrival order at
-    /// `dst`), not in `specs` order.
+    /// `dst`), not in `specs` order. Allocating wrapper over
+    /// [`NetworkState::plan_batch_into`].
     pub fn plan_batch(&self, dst: ProcId, specs: &[MsgSpec]) -> Vec<PlannedMsg> {
-        match self.model {
-            CommModel::MacroDataflow => {
-                let mut planned: Vec<PlannedMsg> = specs
-                    .iter()
-                    .map(|&spec| {
-                        if spec.from == dst {
-                            PlannedMsg {
-                                spec,
-                                start: spec.ready,
-                                finish: spec.ready,
-                            }
-                        } else {
-                            PlannedMsg {
-                                spec,
-                                start: spec.ready,
-                                finish: spec.ready + spec.w,
-                            }
-                        }
-                    })
-                    .collect();
-                planned.sort_by(cmp_planned);
-                planned
-            }
-            CommModel::OnePort => self.plan_batch_one_port(dst, specs),
-        }
+        let mut planned = Vec::with_capacity(specs.len());
+        self.plan_batch_into(dst, specs, &mut planned, &mut PlanScratch::default());
+        planned
     }
 
-    fn plan_batch_one_port(&self, dst: ProcId, specs: &[MsgSpec]) -> Vec<PlannedMsg> {
-        let mut planned: Vec<PlannedMsg> = Vec::with_capacity(specs.len());
-        // Locals pass through untouched.
-        let mut remote: Vec<MsgSpec> = Vec::with_capacity(specs.len());
+    /// [`NetworkState::plan_batch`] into caller-owned buffers: `planned`
+    /// is overwritten with the plan, `scratch` holds the one-port sort
+    /// keys and port temporaries. With warm buffers this never allocates.
+    pub fn plan_batch_into(
+        &self,
+        dst: ProcId,
+        specs: &[MsgSpec],
+        planned: &mut Vec<PlannedMsg>,
+        scratch: &mut PlanScratch,
+    ) {
+        planned.clear();
+        match self.model {
+            CommModel::MacroDataflow => {
+                planned.extend(specs.iter().map(|&spec| {
+                    let finish = if spec.from == dst {
+                        spec.ready
+                    } else {
+                        spec.ready + spec.w
+                    };
+                    PlannedMsg {
+                        spec,
+                        start: spec.ready,
+                        finish,
+                    }
+                }));
+            }
+            CommModel::OnePort => self.plan_one_port(dst, specs, planned, scratch),
+        }
+        planned.sort_by(cmp_planned);
+    }
+
+    fn plan_one_port(
+        &self,
+        dst: ProcId,
+        specs: &[MsgSpec],
+        planned: &mut Vec<PlannedMsg>,
+        scratch: &mut PlanScratch,
+    ) {
+        // Locals pass through untouched. Remote messages are keyed by their
+        // unconstrained finish F̂(c, l) = max(ready, SF, R(l)) + w: the sort
+        // key of equation (6). Ties break on (sender, src task, copy, edge)
+        // for determinism.
+        let keyed = &mut scratch.keyed;
+        keyed.clear();
         for &spec in specs {
             if spec.from == dst {
                 planned.push(PlannedMsg {
@@ -131,40 +182,36 @@ impl NetworkState {
                     finish: spec.ready,
                 });
             } else {
-                remote.push(spec);
+                let uf = spec
+                    .ready
+                    .max(self.send_free(spec.from))
+                    .max(self.link_ready(spec.from, dst))
+                    + spec.w;
+                keyed.push((uf, spec));
             }
         }
-        // Unconstrained finish F̂(c, l) = max(ready, SF, R(l)) + w: the sort
-        // key of equation (6). Ties break on (sender, src task, copy, edge)
-        // for determinism.
-        let mut keyed: Vec<(f64, MsgSpec)> = remote
-            .into_iter()
-            .map(|s| {
-                let uf = s
-                    .ready
-                    .max(self.send_free(s.from))
-                    .max(self.link_ready(s.from, dst))
-                    + s.w;
-                (uf, s)
-            })
-            .collect();
         keyed.sort_by(|a, b| {
             a.0.total_cmp(&b.0)
                 .then_with(|| (a.1.from, a.1.src, a.1.edge).cmp(&(b.1.from, b.1.src, b.1.edge)))
         });
         // Serialize: chain through temporary copies of SF / R(l) / RF.
         // Batches are small (≤ |Γ−(t)| · (ε+1)), so linear scans beat maps.
-        let mut sf_tmp: Vec<(ProcId, f64)> = Vec::new();
-        let mut link_tmp: Vec<(ProcId, f64)> = Vec::new();
+        // Every message here comes from a distinct-from-`dst` sender, so one
+        // per-sender entry carries both its send port and its link to `dst`.
+        let ports = &mut scratch.ports;
+        ports.clear();
         let mut rf = self.recv_free(dst);
-        for (_, spec) in keyed {
-            let sf = lookup(&sf_tmp, spec.from).unwrap_or_else(|| self.send_free(spec.from));
-            let lr =
-                lookup(&link_tmp, spec.from).unwrap_or_else(|| self.link_ready(spec.from, dst));
+        for &(_, spec) in keyed.iter() {
+            let (sf, lr) = match ports.iter().find(|(k, _)| *k == spec.from) {
+                Some(&(_, t)) => (t, t),
+                None => (self.send_free(spec.from), self.link_ready(spec.from, dst)),
+            };
             let start = spec.ready.max(sf).max(lr).max(rf);
             let finish = start + spec.w;
-            store(&mut sf_tmp, spec.from, finish);
-            store(&mut link_tmp, spec.from, finish);
+            match ports.iter_mut().find(|(k, _)| *k == spec.from) {
+                Some((_, t)) => *t = finish,
+                None => ports.push((spec.from, finish)),
+            }
             rf = finish;
             planned.push(PlannedMsg {
                 spec,
@@ -172,8 +219,6 @@ impl NetworkState {
                 finish,
             });
         }
-        planned.sort_by(cmp_planned);
-        planned
     }
 
     /// Commits a previously planned batch towards `dst`, advancing the
@@ -212,17 +257,6 @@ fn cmp_planned(a: &PlannedMsg, b: &PlannedMsg) -> std::cmp::Ordering {
         .then_with(|| {
             (a.spec.from, a.spec.src, a.spec.edge).cmp(&(b.spec.from, b.spec.src, b.spec.edge))
         })
-}
-
-fn lookup(v: &[(ProcId, f64)], key: ProcId) -> Option<f64> {
-    v.iter().find(|(k, _)| *k == key).map(|(_, t)| *t)
-}
-
-fn store(v: &mut Vec<(ProcId, f64)>, key: ProcId, val: f64) {
-    match v.iter_mut().find(|(k, _)| *k == key) {
-        Some((_, t)) => *t = val,
-        None => v.push((key, val)),
-    }
 }
 
 #[cfg(test)]

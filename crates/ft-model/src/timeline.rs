@@ -33,6 +33,11 @@ impl Timeline {
         }
     }
 
+    /// Forgets every interval, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.intervals.clear();
+    }
+
     /// Number of recorded (non-empty) intervals.
     pub fn len(&self) -> usize {
         self.intervals.len()

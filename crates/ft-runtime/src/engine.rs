@@ -109,13 +109,15 @@ use crate::observe::{Observer, PhaseProfile, TraceObserver};
 #[cfg(doc)]
 use crate::policy::{CheckpointPlan, RecoveryPolicy};
 use crate::policy::{EngineConfig, Policy, PolicyEvent, RecoveryAction};
-use crate::scratch::{EngineScratch, EventQueue, StaticPlan};
-use ft_algos::{caft_on_subdag, CaftOptions, SubDagSpec};
+use crate::scratch::{EngineScratch, EventQueue, ReplanScratch, StaticPlan};
+use ft_algos::prio::mean_bottom_levels;
+use ft_algos::{caft_on_subdag_in, CaftOptions};
 use ft_graph::TaskId;
 use ft_model::{FtSchedule, Replica, ReplicaRef};
 use ft_net::{NetworkModel, NetworkState};
 use ft_platform::{Instance, ProcId};
 use ft_sim::FaultScenario;
+use std::sync::OnceLock;
 
 /// Runs the schedule online under the timed scenario and recovery policy.
 /// Dispatches `cfg.policy` through the open [`Policy`] trait — the same
@@ -304,17 +306,7 @@ pub(crate) fn run_into<'a>(
     observer: Option<&mut dyn Observer>,
     profile: Option<&'a mut PhaseProfile>,
 ) {
-    let mut engine = Engine::from_parts(
-        inst,
-        sched,
-        scenario,
-        cfg,
-        policy,
-        &plan.plans,
-        &plan.topo_position,
-        &plan.network,
-        scratch,
-    );
+    let mut engine = Engine::from_parts(inst, sched, scenario, cfg, policy, plan, scratch);
     engine.profile = profile;
     engine.build_ops(plan);
     engine.seed_events();
@@ -340,24 +332,12 @@ pub(crate) fn build_template(
     inst: &Instance,
     sched: &FtSchedule,
     policy: &dyn Policy,
-    plans: &[Option<(f64, f64)>],
-    topo_position: &[usize],
-    network: &NetworkModel,
+    plan: &StaticPlan,
 ) -> (Vec<Op>, Vec<Vec<Option<u32>>>) {
     let none = FaultScenario::none();
     let cfg = EngineConfig::default();
     let mut scratch = EngineScratch::default();
-    let mut engine = Engine::from_parts(
-        inst,
-        sched,
-        &none,
-        &cfg,
-        policy,
-        plans,
-        topo_position,
-        network,
-        &mut scratch,
-    );
+    let mut engine = Engine::from_parts(inst, sched, &none, &cfg, policy, plan, &mut scratch);
     engine.build_static_ops();
     (
         std::mem::take(&mut engine.ops),
@@ -672,6 +652,42 @@ impl Op {
     }
 }
 
+/// The dependency buffers of dropped ops, kept (cleared) for reuse: a
+/// recovery op costs its five dependency lists, so recycling only the
+/// buffers — not whole parked ops — keeps the arena small.
+#[derive(Debug, Default)]
+pub(crate) struct DepPool {
+    ids: Vec<Vec<u32>>,
+    pairs: Vec<Vec<(u32, u32)>>,
+    flags: Vec<Vec<bool>>,
+}
+
+impl DepPool {
+    /// Keeps `op`'s allocated dependency buffers.
+    fn park(&mut self, op: Op) {
+        fn keep<T>(pool: &mut Vec<Vec<T>>, mut v: Vec<T>) {
+            if v.capacity() > 0 {
+                v.clear();
+                pool.push(v);
+            }
+        }
+        keep(&mut self.ids, op.hard_deps);
+        keep(&mut self.ids, op.fifo_deps);
+        keep(&mut self.ids, op.group_live);
+        keep(&mut self.pairs, op.group_deps);
+        keep(&mut self.flags, op.group_done);
+    }
+
+    /// Hands parked buffers to a fresh op's (empty) dependency lists.
+    fn dress(&mut self, op: &mut Op) {
+        debug_assert!(op.hard_deps.is_empty() && op.group_live.is_empty());
+        op.hard_deps = self.ids.pop().unwrap_or_default();
+        op.group_live = self.ids.pop().unwrap_or_default();
+        op.group_deps = self.pairs.pop().unwrap_or_default();
+        op.group_done = self.flags.pop().unwrap_or_default();
+    }
+}
+
 /// Hand-written so that `clone_from` reuses the target's buffers: the
 /// derived impl's `clone_from` falls back to `*self = source.clone()`,
 /// which would re-allocate all five dependency lists per op per run and
@@ -779,6 +795,9 @@ struct Engine<'a> {
     policy: &'a dyn Policy,
 
     ops: Vec<Op>,
+    /// Dependency buffers of earlier runs' recovery ops, reused by
+    /// [`Engine::push_op`] instead of allocating.
+    dep_pool: DepPool,
     /// `(finish, kind, id)`; kind 0 = op completion (`id` = op), 1 =
     /// crash detection, 2 = rejoin knowledge (`id` = `epoch · m + proc`).
     /// Completions at a given instant precede detections, which precede
@@ -841,6 +860,11 @@ struct Engine<'a> {
     /// Link/route tables of the platform's network (pre-resolved once per
     /// [`StaticPlan`]); only consulted when `contended`.
     net_model: &'a NetworkModel,
+    /// Mean bottom levels for `Reschedule` repair runs, computed once per
+    /// [`StaticPlan`] on the first replan.
+    bottom_levels: &'a OnceLock<Vec<f64>>,
+    /// `Reschedule`'s replan buffers, from the scratch arena.
+    replan: ReplanScratch,
     /// Live link/port occupancy, charged by [`Engine::try_schedule`] under
     /// a contended [`Contention`] mode. Backed by the scratch arena.
     net: NetworkState,
@@ -929,18 +953,18 @@ impl<'a> Engine<'a> {
     /// [`Engine::finish_into`] moves them back. A panicking run leaves
     /// `scratch` holding taken-empty buffers, which the next
     /// `from_parts` simply re-grows — no unsafety, no stale state.
-    #[allow(clippy::too_many_arguments)]
     fn from_parts(
         inst: &'a Instance,
         sched: &'a FtSchedule,
         scenario: &'a FaultScenario,
         cfg: &'a EngineConfig,
         policy: &'a dyn Policy,
-        plans: &'a [Option<(f64, f64)>],
-        topo_position: &'a [usize],
-        net_model: &'a NetworkModel,
+        plan: &'a StaticPlan,
         scratch: &mut EngineScratch,
     ) -> Self {
+        let plans = &plan.plans[..];
+        let topo_position = &plan.topo_position[..];
+        let net_model = &plan.network;
         cfg.detection.validate(inst.num_procs());
         let v = inst.num_tasks();
         let m = inst.num_procs();
@@ -948,6 +972,7 @@ impl<'a> Engine<'a> {
         debug_assert_eq!(topo_position.len(), v);
 
         let ops = std::mem::take(&mut scratch.ops);
+        let dep_pool = std::mem::take(&mut scratch.dep_pool);
         let static_exec = std::mem::take(&mut scratch.static_exec);
         let mut queue = std::mem::take(&mut scratch.queue);
         queue.clear();
@@ -1032,6 +1057,7 @@ impl<'a> Engine<'a> {
             cfg,
             policy,
             ops,
+            dep_pool,
             heap: queue,
             static_exec,
             recovery_exec,
@@ -1055,6 +1081,8 @@ impl<'a> Engine<'a> {
             deferred,
             plans,
             net_model,
+            bottom_levels: &plan.bottom_levels,
+            replan: std::mem::take(&mut scratch.replan),
             net,
             contended,
             net_transfers: 0,
@@ -1134,9 +1162,17 @@ impl<'a> Engine<'a> {
     }
 
     /// The template fast path: clone the pre-built op graph reusing this
-    /// arena's per-op buffers, then overwrite the crash deadlines.
+    /// arena's per-op buffers, then overwrite the crash deadlines. The
+    /// dependency buffers of the previous run's recovery ops (beyond the
+    /// template) are parked for [`Engine::push_op`].
     fn build_from_template(&mut self, plan: &StaticPlan) {
         let m = self.inst.num_procs();
+        for op in self
+            .ops
+            .drain(plan.template_ops.len().min(self.ops.len())..)
+        {
+            self.dep_pool.park(op);
+        }
         let mut pd = std::mem::take(&mut self.proc_deadline);
         pd.clear();
         for p in 0..m {
@@ -1638,6 +1674,16 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Appends fresh recovery op `op` (empty dependency lists) and
+    /// returns its id, dressing it in parked dependency buffers so that
+    /// repair work stops allocating once the arena is warm.
+    fn push_op(&mut self, mut op: Op) -> u32 {
+        self.dep_pool.dress(&mut op);
+        let id = self.ops.len() as u32;
+        self.ops.push(op);
+        id
+    }
+
     // --- dependency wiring helpers --------------------------------------
 
     fn add_hard_dep(&mut self, from: u32, to: u32) {
@@ -1913,9 +1959,17 @@ impl<'a> Engine<'a> {
     /// `op = None` when the data already exists (completed op).
     fn surviving_copies(&self, t: usize) -> Vec<(Option<u32>, ProcId, f64)> {
         let mut out = Vec::new();
-        let push = |id: u32, ops: &Vec<Op>, known_dead: &Vec<bool>, out: &mut Vec<_>| {
-            let op = &ops[id as usize];
-            if known_dead[op.proc as usize] {
+        self.surviving_copies_into(t, &mut out);
+        out
+    }
+
+    /// [`Engine::surviving_copies`] into a reusable buffer (overwritten),
+    /// sorted by estimated finish, then processor.
+    fn surviving_copies_into(&self, t: usize, out: &mut Vec<(Option<u32>, ProcId, f64)>) {
+        out.clear();
+        let push = |id: u32, out: &mut Vec<_>| {
+            let op = &self.ops[id as usize];
+            if self.known_dead[op.proc as usize] {
                 return;
             }
             match op.state {
@@ -1932,10 +1986,10 @@ impl<'a> Engine<'a> {
             }
         };
         for id in self.static_exec[t].iter().flatten() {
-            push(*id, &self.ops, &self.known_dead, &mut out);
+            push(*id, out);
         }
         for id in &self.recovery_exec[t] {
-            push(*id, &self.ops, &self.known_dead, &mut out);
+            push(*id, out);
         }
         // Pre-staged copies (warm-spare `PreStage`): data transferred to
         // another processor counts exactly like a replica output there —
@@ -1955,7 +2009,6 @@ impl<'a> Engine<'a> {
             }
         }
         out.sort_by(|a, b| a.2.total_cmp(&b.2).then_with(|| a.1.cmp(&b.1)));
-        out
     }
 
     /// The crash-event loss selection (the built-in `ReReplicate`
@@ -2063,7 +2116,7 @@ impl<'a> Engine<'a> {
             mop.dst = on as u32;
             mop.recovery = true;
             mop.est_finish = src_est.max(now) + w;
-            self.ops.push(mop);
+            self.push_op(mop);
             self.recovery_messages += 1;
             match src_op {
                 Some(s) => self.add_hard_dep(s, mid),
@@ -2166,7 +2219,7 @@ impl<'a> Engine<'a> {
         exec_op.recovery = true;
         exec_op.est_finish = est;
         self.apply_checkpointing(&mut exec_op);
-        self.ops.push(exec_op);
+        self.push_op(exec_op);
         self.recovery_exec[t.index()].push(ex);
         self.recovery_replicas += 1;
 
@@ -2187,7 +2240,7 @@ impl<'a> Engine<'a> {
             let mid = self.ops.len() as u32;
             let mut mop = Op::new(w, now, self.deadline_after(src_proc, now), src_proc);
             mop.dst = q.index() as u32;
-            self.ops.push(mop);
+            self.push_op(mop);
             self.recovery_messages += 1;
             match src_op {
                 Some(s) => self.add_hard_dep(s, mid),
@@ -2273,7 +2326,7 @@ impl<'a> Engine<'a> {
         op.done_frac = frac;
         op.est_finish = est;
         self.apply_checkpointing(&mut op);
-        self.ops.push(op);
+        self.push_op(op);
         self.recovery_exec[t.index()].push(ex);
         self.recovery_replicas += 1;
         let mut acts = std::mem::take(&mut self.act_scratch);
@@ -2287,17 +2340,30 @@ impl<'a> Engine<'a> {
     /// (the survivor-knowledge rule: the plan can only use processors
     /// that know the platform shrank — under non-uniform detection the
     /// plan improves as knowledge spreads, one event at a time).
+    ///
+    /// Every buffer of the replan — the CAFT arena, the repair spec and
+    /// the wiring tables — comes from the engine's [`ReplanScratch`].
     fn reschedule(&mut self, now: f64) {
-        let alive: Vec<ProcId> = (0..self.inst.num_procs())
-            .filter(|&p| self.repair_eligible(p, now))
-            .map(ProcId::from_index)
-            .collect();
-        if alive.is_empty() {
+        let mut rp = std::mem::take(&mut self.replan);
+        self.replan_into(now, &mut rp);
+        self.replan = rp;
+    }
+
+    fn replan_into(&mut self, now: f64, rp: &mut ReplanScratch) {
+        let m = self.inst.num_procs();
+        let spec = &mut rp.spec;
+        spec.alive.clear();
+        spec.alive.extend(
+            (0..m)
+                .filter(|&p| self.repair_eligible(p, now))
+                .map(ProcId::from_index),
+        );
+        if spec.alive.is_empty() {
             // Knowledge lag (live survivors, none informed yet) is not a
             // replan — a later event will produce one; a platform with no
             // survivors at all still counts the vacuous attempt, matching
             // the historical accounting.
-            if (0..self.inst.num_procs()).all(|p| self.known_dead[p]) {
+            if (0..m).all(|p| self.known_dead[p]) {
                 self.reschedules += 1;
             }
             return;
@@ -2316,56 +2382,52 @@ impl<'a> Engine<'a> {
         self.recovery_exec = recovery_exec;
 
         let v = self.inst.num_tasks();
-        let eps = self.sched.epsilon().min(alive.len() - 1);
+        let eps = self.sched.epsilon().min(spec.alive.len() - 1);
 
         // Remnant = not completed and not safely in flight.
-        let remnant: Vec<bool> = (0..v).map(|t| !self.task_believed_safe(t)).collect();
+        spec.remnant.clear();
+        spec.remnant
+            .extend((0..v).map(|t| !self.task_believed_safe(t)));
         // Frontier sources, pre-sorted exactly like `Ctx::for_subdag` sorts
         // (by finish then proc) and capped at ε+1, so pseudo-replica copy
         // indices align with `src_ops`.
-        let mut sources: Vec<Vec<Replica>> = vec![Vec::new(); v];
-        let mut src_ops: Vec<Vec<Option<u32>>> = vec![Vec::new(); v];
+        reset_nested(&mut spec.sources, v);
+        reset_nested(&mut rp.src_ops, v);
         for t in 0..v {
-            if remnant[t] {
+            if spec.remnant[t] {
                 continue;
             }
-            for (op, proc, est) in self.surviving_copies(t).into_iter().take(eps + 1) {
-                let copy = sources[t].len();
-                sources[t].push(Replica {
+            self.surviving_copies_into(t, &mut rp.copies);
+            for (copy, &(op, proc, est)) in rp.copies.iter().take(eps + 1).enumerate() {
+                spec.sources[t].push(Replica {
                     of: ReplicaRef::new(TaskId::from_index(t), copy),
                     proc,
                     start: est,
                     finish: est,
                 });
-                src_ops[t].push(op);
+                rp.src_ops[t].push(op);
             }
         }
-
-        let spec = SubDagSpec {
-            remnant: remnant.clone(),
-            sources,
-            alive,
-            release: now,
-        };
+        spec.release = now;
         let opts = CaftOptions {
             eps,
             model: self.sched.model,
             seed: self.cfg.seed.wrapping_add(self.reschedules as u64),
             ..CaftOptions::default()
         };
-        let out = caft_on_subdag(self.inst, &spec, &opts);
-        for t in &out.unscheduled {
+        let inst = self.inst;
+        let bl = self.bottom_levels.get_or_init(|| mean_bottom_levels(inst));
+        let out = caft_on_subdag_in(inst, &rp.spec, &opts, bl, &mut rp.caft);
+        for t in out.unscheduled {
             self.unrecoverable[t.index()] = true;
         }
 
         // Materialize the plan as fixed-time ops.
-        let plan = &out.schedule;
-        let mut new_exec: Vec<Vec<Option<u32>>> = vec![Vec::new(); v];
+        let plan = out.schedule;
+        let remnant = &rp.spec.remnant;
+        reset_nested(&mut rp.new_exec, v);
         let mut acts = std::mem::take(&mut self.act_scratch);
-        for t in 0..v {
-            if !remnant[t] {
-                continue;
-            }
+        for (t, _) in remnant.iter().enumerate().filter(|&(_, &r)| r) {
             for r in plan.replicas_of(TaskId::from_index(t)) {
                 let id = self.ops.len() as u32;
                 let mut op = Op::new(
@@ -2378,38 +2440,41 @@ impl<'a> Engine<'a> {
                 op.recovery = true;
                 op.fixed_finish = Some(r.finish);
                 op.est_finish = r.finish;
-                self.ops.push(op);
-                new_exec[t].push(Some(id));
+                self.push_op(op);
+                rp.new_exec[t].push(id);
                 self.recovery_exec[t].push(id);
                 self.recovery_replicas += 1;
             }
         }
-        // Wire the plan's messages: first-copy groups per (replica, edge).
+        // Index the plan's messages by (destination replica, edge); the
+        // position tie-break keeps plan order within a key.
+        let key = |i: u32| {
+            let msg = &plan.messages[i as usize];
+            (msg.dst.task.0, msg.dst.copy, msg.edge.0)
+        };
+        rp.msg_index.clear();
+        rp.msg_index.extend(0..plan.messages.len() as u32);
+        rp.msg_index.sort_unstable_by_key(|&i| (key(i), i));
+        let (new_exec, src_ops) = (&rp.new_exec, &rp.src_ops);
         let resolve_src = |src: ReplicaRef| -> Option<Option<u32>> {
             let t = src.task.index();
             let c = src.copy as usize;
             if remnant[t] {
-                new_exec[t].get(c).copied()
+                new_exec[t].get(c).map(|&id| Some(id))
             } else {
                 src_ops[t].get(c).copied()
             }
         };
-        for t in 0..v {
-            if !remnant[t] {
-                continue;
-            }
-            for c in 0..plan.replicas_of(TaskId::from_index(t)).len() {
-                let Some(Some(ex)) = new_exec[t].get(c).copied() else {
-                    continue;
-                };
-                let dst_ref = ReplicaRef::new(TaskId::from_index(t), c);
-                for &e in self.inst.graph.in_edges(TaskId::from_index(t)) {
-                    let mut members: Vec<u32> = Vec::new();
-                    for msg in plan
-                        .messages
-                        .iter()
-                        .filter(|m| m.dst == dst_ref && m.edge == e)
-                    {
+        // Wire the plan's messages: first-copy groups per (replica, edge).
+        for (t, _) in remnant.iter().enumerate().filter(|&(_, &r)| r) {
+            let task = TaskId::from_index(t);
+            for (c, &ex) in new_exec[t].iter().enumerate() {
+                for &e in inst.graph.in_edges(task) {
+                    let k = (task.0, c as u8, e.0);
+                    let lo = rp.msg_index.partition_point(|&i| key(i) < k);
+                    rp.members.clear();
+                    for &i in rp.msg_index[lo..].iter().take_while(|&&i| key(i) == k) {
+                        let msg = &plan.messages[i as usize];
                         let Some(src_op) = resolve_src(msg.src) else {
                             continue;
                         };
@@ -2423,7 +2488,7 @@ impl<'a> Engine<'a> {
                         mop.dst = msg.to.index() as u32;
                         mop.fixed_finish = Some(msg.finish);
                         mop.recovery = true;
-                        self.ops.push(mop);
+                        self.push_op(mop);
                         if !msg.is_local() {
                             self.recovery_messages += 1;
                         }
@@ -2434,11 +2499,11 @@ impl<'a> Engine<'a> {
                                 // time embeds its availability.
                             }
                         }
-                        members.push(mid);
+                        rp.members.push(mid);
                         acts.push(Act::TrySchedule(mid));
                     }
-                    if !members.is_empty() {
-                        self.add_group(ex, &members);
+                    if !rp.members.is_empty() {
+                        self.add_group(ex, &rp.members);
                     }
                 }
                 acts.push(Act::TrySchedule(ex));
@@ -2481,6 +2546,7 @@ impl<'a> Engine<'a> {
         out.net_delay = self.net_delay;
 
         scratch.ops = self.ops;
+        scratch.dep_pool = self.dep_pool;
         scratch.queue = self.heap;
         scratch.static_exec = self.static_exec;
         scratch.recovery_exec = self.recovery_exec;
@@ -2503,6 +2569,7 @@ impl<'a> Engine<'a> {
         scratch.task_ck_frac = self.task_ck_frac;
         scratch.proc_deadline = self.proc_deadline;
         scratch.net = self.net;
+        scratch.replan = self.replan;
     }
 
     /// Streams every materialized operation to `obs` in creation order —

@@ -41,15 +41,16 @@
 //! event-queue keys are all distinct, so *any* correct min-heap pops
 //! them in the same ascending order).
 
-use crate::engine::{build_template, run_into, Act, Op};
+use crate::engine::{build_template, run_into, Act, DepPool, Op};
 use crate::metrics::RunOutcome;
 use crate::policy::{EngineConfig, Policy, RecoveryAction, TaskInfo};
+use ft_algos::{CaftScratch, SubDagSpec};
 use ft_graph::TaskId;
 use ft_model::FtSchedule;
 use ft_net::{NetworkModel, NetworkState};
-use ft_platform::Instance;
+use ft_platform::{Instance, ProcId};
 use ft_sim::FaultScenario;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Indexed min-heap over `(time, kind, id)` event keys — the engine's
 /// event queue, backed by one reusable `Vec` instead of a fresh
@@ -153,6 +154,10 @@ pub struct StaticPlan {
     ///
     /// [`Contention`]: ft_net::Contention
     pub(crate) network: NetworkModel,
+    /// Mean bottom levels of the instance — the CAFT priorities of every
+    /// `Reschedule` repair run — computed on the first replan and shared
+    /// by every later one (and every run) of this plan.
+    pub(crate) bottom_levels: OnceLock<Vec<f64>>,
 }
 
 impl StaticPlan {
@@ -161,14 +166,7 @@ impl StaticPlan {
     /// `policy`. One template build amortizes over every subsequent run.
     pub fn new(inst: &Instance, sched: &FtSchedule, policy: &dyn Policy) -> Self {
         let mut plan = Self::without_template(inst, sched, policy);
-        let (template_ops, template_static_exec) = build_template(
-            inst,
-            sched,
-            policy,
-            &plan.plans,
-            &plan.topo_position,
-            &plan.network,
-        );
+        let (template_ops, template_static_exec) = build_template(inst, sched, policy, &plan);
         plan.template_ops = template_ops;
         plan.template_static_exec = template_static_exec;
         plan.has_template = true;
@@ -220,6 +218,7 @@ impl StaticPlan {
             template_static_exec: Vec::new(),
             has_template: false,
             network: NetworkModel::new(&inst.platform),
+            bottom_levels: OnceLock::new(),
         }
     }
 }
@@ -242,6 +241,8 @@ impl std::fmt::Debug for StaticPlan {
 #[derive(Default)]
 pub struct EngineScratch {
     pub(crate) ops: Vec<Op>,
+    /// Dependency buffers of earlier runs' recovery ops.
+    pub(crate) dep_pool: DepPool,
     pub(crate) queue: EventQueue,
     pub(crate) static_exec: Vec<Vec<Option<u32>>>,
     pub(crate) recovery_exec: Vec<Vec<u32>>,
@@ -266,9 +267,36 @@ pub struct EngineScratch {
     /// Link/port occupancy of contended runs; interval lists keep their
     /// capacity across runs (Ideal runs carry it through untouched).
     pub(crate) net: NetworkState,
+    /// `Reschedule`'s replan buffers, the CAFT arena included.
+    pub(crate) replan: ReplanScratch,
     /// Outcome of the latest run executed through this scratch; its
     /// vectors are recycled into the next run's buffers.
     pub(crate) outcome: RunOutcome,
+}
+
+/// The buffers of `Reschedule` replans (DESIGN.md "Replan cost"), owned
+/// by an [`EngineScratch`] across replans and runs: every repair run's
+/// CAFT arena, its input spec, and the engine-side wiring tables.
+#[derive(Debug, Default)]
+pub(crate) struct ReplanScratch {
+    /// The arena every `caft_on_subdag_in` repair run goes through; the
+    /// repaired schedule stays in it until the next replan.
+    pub(crate) caft: CaftScratch,
+    /// The repair input (remnant, frontier, survivors), refilled in place
+    /// per replan.
+    pub(crate) spec: SubDagSpec,
+    /// Engine op behind each frontier pseudo-replica (`None`: the data
+    /// already exists).
+    pub(crate) src_ops: Vec<Vec<Option<u32>>>,
+    /// New exec op per (remnant task, plan copy).
+    pub(crate) new_exec: Vec<Vec<u32>>,
+    /// Plan message indices sorted by (destination replica, edge, plan
+    /// position): the wiring index.
+    pub(crate) msg_index: Vec<u32>,
+    /// Member ops of the first-copy group being wired.
+    pub(crate) members: Vec<u32>,
+    /// Surviving copies of one frontier task.
+    pub(crate) copies: Vec<(Option<u32>, ProcId, f64)>,
 }
 
 impl EngineScratch {
