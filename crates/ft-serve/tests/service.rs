@@ -242,6 +242,57 @@ fn malformed_spec_fails_with_diagnostic_and_queue_keeps_draining() {
 }
 
 #[test]
+fn build_rejected_specs_fail_at_claim_and_leave_the_cache_usable() {
+    // Specs the workload build cannot serve: ε ≥ processors (no room for
+    // ε + 1 distinct hosts), and a granularity that is not a positive
+    // finite number. Written behind the CLI's back, as a hostile client
+    // would. Before claim-time validation they panicked inside the shared
+    // cache's miss build, poisoning its lock for every later job.
+    let root = temp_root("poison");
+    let queue = JobQueue::open(&root).unwrap();
+    let mut crowded = JobSpec::example("alice");
+    crowded.workload.eps = crowded.workload.procs;
+    let mut flat = JobSpec::example("alice");
+    flat.workload.granularity = 0.0;
+    let mut negative = JobSpec::example("alice");
+    negative.workload.granularity = -1.0;
+    for (id, spec) in [
+        ("a-crowded", &crowded),
+        ("a-flat", &flat),
+        ("a-negative", &negative),
+    ] {
+        std::fs::write(
+            root.join(format!("queue/pending/{id}.json")),
+            serde_json::to_string(spec).unwrap(),
+        )
+        .unwrap();
+    }
+    let good_spec = JobSpec::example("alice");
+    let good = queue.submit(Some("z-good"), &good_spec).unwrap();
+    Daemon::new(&root)
+        .unwrap()
+        .with_workers(1)
+        .run_until_idle()
+        .unwrap();
+    for (id, needle) in [
+        ("a-crowded", "eps"),
+        ("a-flat", "granularity"),
+        ("a-negative", "granularity"),
+    ] {
+        assert_eq!(queue.state(id), Some(JobState::Failed), "{id}");
+        let diagnostic = queue.read_error(id).unwrap();
+        assert!(diagnostic.contains(needle), "{id}: {diagnostic}");
+    }
+    assert_eq!(queue.state(&good), Some(JobState::Done), "the good job ran");
+    assert_eq!(
+        cells_json(&read_final(&root, &good).unwrap().cells),
+        cells_json(&good_spec.direct_cell_results()),
+        "the good job after the bad ones must verify byte for byte"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn racing_workers_over_malformed_specs_never_kill_the_pool() {
     // Regression (REVIEW PR8): several workers scan the same pending
     // snapshot; whoever loses the race to claim — or to fail a broken
