@@ -20,7 +20,7 @@ use ft_model::FtSchedule;
 use ft_platform::Instance;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Content key of an instance: every [`WorkloadSpec`] field the
 /// instance build reads (ε excluded — it only feeds the schedule).
@@ -178,10 +178,19 @@ impl ArtifactCache {
         }
     }
 
+    /// The interior lock, recovered if a build panicked while holding
+    /// it. That is sound because a miss inserts only after its build
+    /// returned: a panicking build leaves the maps as they were (only a
+    /// miss counter moved), so one job's panic cannot fail another's
+    /// resolution.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Resolves a workload: cached artifacts when warm, built (and
     /// cached) when cold.
     pub fn resolve(&self, spec: &WorkloadSpec) -> ResolvedJob {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         let ikey = InstanceKey::of(spec);
         let (inst, instance_hit) = match inner.instances.get(&ikey) {
             Some(inst) => (inst, true),
@@ -215,7 +224,7 @@ impl ArtifactCache {
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("cache lock poisoned");
+        let inner = self.lock();
         CacheStats {
             instance_hits: inner.instances.hits,
             instance_misses: inner.instances.misses,
@@ -278,6 +287,21 @@ mod tests {
             inst.mean_task_cost().to_bits()
         );
         assert_eq!(warm.sched.latency().to_bits(), sched.latency().to_bits());
+    }
+
+    #[test]
+    fn a_panicking_build_does_not_poison_later_resolutions() {
+        let cache = ArtifactCache::default();
+        let unbuildable = WorkloadSpec {
+            eps: 5,
+            ..spec(1, 1)
+        };
+        let build = std::panic::catch_unwind(|| cache.resolve(&unbuildable));
+        assert!(build.is_err(), "ε ≥ procs cannot be scheduled");
+        let r = cache.resolve(&spec(2, 1));
+        assert!(!r.outcome.instance_hit, "a fresh workload still builds");
+        assert!(cache.resolve(&spec(2, 1)).outcome.schedule_hit);
+        assert_eq!(cache.stats().schedule_entries, 1);
     }
 
     #[test]

@@ -81,8 +81,9 @@ impl JobSpec {
     }
 
     /// Validates the spec's cheap invariants (non-empty tenant and axes,
-    /// positive run count) so misconfigured jobs fail at submit/claim
-    /// time with a message instead of producing an empty sweep.
+    /// positive run count, a buildable workload) so misconfigured jobs
+    /// fail at submit/claim time with a message instead of producing an
+    /// empty sweep — or panicking inside the shared workload build.
     pub fn validate(&self) -> Result<(), String> {
         if self.tenant.is_empty() {
             return Err("tenant must be non-empty".into());
@@ -96,8 +97,21 @@ impl JobSpec {
         {
             return Err("grid axes must be non-empty".into());
         }
-        if self.workload.tasks == 0 || self.workload.procs == 0 {
+        let w = &self.workload;
+        if w.tasks == 0 || w.procs == 0 {
             return Err("workload must have tasks and processors".into());
+        }
+        if w.eps >= w.procs {
+            return Err(format!(
+                "workload.eps = {} needs eps + 1 distinct processors, but workload.procs = {}",
+                w.eps, w.procs
+            ));
+        }
+        if !(w.granularity.is_finite() && w.granularity > 0.0) {
+            return Err(format!(
+                "workload.granularity must be a positive finite number, got {}",
+                w.granularity
+            ));
         }
         Ok(())
     }
@@ -177,5 +191,21 @@ mod tests {
         spec.grid.runs = 1;
         spec.grid.mttf_factors.clear();
         assert!(spec.validate().is_err(), "empty axis");
+    }
+
+    #[test]
+    fn validate_rejects_unbuildable_workloads() {
+        let ok = JobSpec::example("t");
+        let mut spec = ok.clone();
+        spec.workload.eps = spec.workload.procs;
+        assert!(spec.validate().unwrap_err().contains("eps"));
+        for g in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut spec = ok.clone();
+            spec.workload.granularity = g;
+            assert!(
+                spec.validate().unwrap_err().contains("granularity"),
+                "granularity {g}"
+            );
+        }
     }
 }
