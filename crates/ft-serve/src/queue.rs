@@ -39,6 +39,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::SystemTime;
 
 /// Errors of the service layer.
@@ -128,10 +129,17 @@ pub struct ClaimOutcome {
 }
 
 /// Handle on the queue tree under one service root. Cheap to clone
-/// per worker; all state is on disk.
+/// per worker; all job state is on disk.
 #[derive(Clone, Debug)]
 pub struct JobQueue {
     root: PathBuf,
+    /// Per tenant, the next auto-id suffix worth trying — an in-process
+    /// hint shared by clones, so `submit(None, ..)` probes O(1) ids
+    /// amortized instead of every id the tenant ever took. The
+    /// `create_new` reservation stays the race-safe arbiter: a stale
+    /// hint (ids taken by another process or an explicit id) only costs
+    /// extra probes.
+    next_suffix: Arc<Mutex<HashMap<String, u64>>>,
 }
 
 impl JobQueue {
@@ -151,7 +159,10 @@ impl JobQueue {
         ] {
             fs::create_dir_all(root.join(dir))?;
         }
-        Ok(JobQueue { root })
+        Ok(JobQueue {
+            root,
+            next_suffix: Arc::default(),
+        })
     }
 
     /// The service root this queue lives under.
@@ -186,15 +197,22 @@ impl JobQueue {
                 id.to_string()
             }
             None => {
-                let mut k = 0u64;
+                let mut hints = self
+                    .next_suffix
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                let k = hints.entry(spec.tenant.clone()).or_insert(0);
                 loop {
                     let candidate = format!("{}-{k}", spec.tenant);
                     match self.reserve(&candidate) {
-                        Ok(()) => break candidate,
+                        Ok(()) => {
+                            *k += 1;
+                            break candidate;
+                        }
                         // Only a taken id warrants the next suffix; any
                         // other failure (ids dir gone, EACCES, ENOSPC)
                         // would loop forever.
-                        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => k += 1,
+                        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => *k += 1,
                         Err(e) => return Err(e.into()),
                     }
                 }
@@ -509,6 +527,27 @@ mod tests {
         assert!(q.submit(Some("bad/id"), &spec).is_err());
         assert_eq!(q.submit(None, &spec).unwrap(), "t-0");
         assert_eq!(q.submit(None, &spec).unwrap(), "t-1");
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn auto_ids_count_up_without_reprobing_and_skip_explicit_collisions() {
+        let root = temp_root();
+        let q = JobQueue::open(&root).unwrap();
+        let spec = JobSpec::example("t");
+        for k in 0..1000 {
+            assert_eq!(q.submit(None, &spec).unwrap(), format!("t-{k}"));
+        }
+        // An explicit id that lands on the next suffix is skipped, by
+        // this handle and by a fresh one (whose hint starts cold and
+        // falls back on the on-disk reservations).
+        q.submit(Some("t-1000"), &spec).unwrap();
+        assert_eq!(q.submit(None, &spec).unwrap(), "t-1001");
+        let fresh = JobQueue::open(&root).unwrap();
+        assert_eq!(fresh.submit(None, &spec).unwrap(), "t-1002");
+        // Clones share the hint; other tenants count on their own.
+        assert_eq!(q.clone().submit(None, &spec).unwrap(), "t-1003");
+        assert_eq!(q.submit(None, &JobSpec::example("u")).unwrap(), "u-0");
         fs::remove_dir_all(&root).ok();
     }
 
