@@ -118,31 +118,17 @@ pub struct ReadyTracker {
 }
 
 impl ReadyTracker {
-    /// Initializes from the graph's in-degrees.
-    pub fn new(g: &TaskGraph) -> Self {
-        let mut r = ReadyTracker::default();
-        r.reset(g, None);
-        r
-    }
-
-    /// Initializes for scheduling only the tasks with `in_subset[t]`,
-    /// counting only predecessors inside the subset (data of outside
-    /// predecessors is assumed already produced). Outside tasks are pinned
-    /// with a sentinel so they never become free.
+    /// (Re-)initializes in place, keeping the buffer. With `None`, every
+    /// task is tracked from its in-degree. With `Some(in_subset)`, only
+    /// the tasks with `in_subset[t]` are scheduled, counting only
+    /// predecessors inside the subset (data of outside predecessors is
+    /// assumed already produced); outside tasks are pinned with a
+    /// sentinel so they never become free.
     ///
     /// The subset must be closed under successors: every successor of a
     /// subset task is itself in the subset (which holds by construction for
     /// "not yet executed" sub-DAGs, since a task cannot run before its
     /// predecessors).
-    pub fn for_subset(g: &TaskGraph, in_subset: &[bool]) -> Self {
-        let mut r = ReadyTracker::default();
-        r.reset(g, Some(in_subset));
-        r
-    }
-
-    /// Re-initializes in place, keeping the buffer: like
-    /// [`ReadyTracker::new`] for `None`, like [`ReadyTracker::for_subset`]
-    /// for `Some(in_subset)`.
     pub fn reset(&mut self, g: &TaskGraph, in_subset: Option<&[bool]>) {
         self.remaining_preds.clear();
         self.remaining_preds.extend(g.tasks().map(|t| {
@@ -245,7 +231,8 @@ mod tests {
         b.add_edge(a, d, 1.0).unwrap();
         b.add_edge(c, d, 1.0).unwrap();
         let g = b.build();
-        let mut rt = ReadyTracker::new(&g);
+        let mut rt = ReadyTracker::default();
+        rt.reset(&g, None);
         assert_eq!(rt.initial().collect::<Vec<_>>(), vec![a, c]);
         let mut freed = Vec::new();
         rt.complete(&g, a, &mut freed);

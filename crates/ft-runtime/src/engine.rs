@@ -652,9 +652,12 @@ impl Op {
     }
 }
 
-/// The dependency buffers of dropped ops, kept (cleared) for reuse: a
-/// recovery op costs its five dependency lists, so recycling only the
-/// buffers — not whole parked ops — keeps the arena small.
+/// The dependency buffers of dropped recovery ops, kept (cleared) for
+/// reuse: wiring hands one to a dependency list on its first push
+/// ([`Engine::add_hard_dep`], [`Engine::add_group`]), so repair work
+/// stops allocating once the arena is warm. Parking buffers rather than
+/// whole ops, and only where a list is actually used, keeps the arena
+/// small.
 #[derive(Debug, Default)]
 pub(crate) struct DepPool {
     ids: Vec<Vec<u32>>,
@@ -678,13 +681,14 @@ impl DepPool {
         keep(&mut self.flags, op.group_done);
     }
 
-    /// Hands parked buffers to a fresh op's (empty) dependency lists.
-    fn dress(&mut self, op: &mut Op) {
-        debug_assert!(op.hard_deps.is_empty() && op.group_live.is_empty());
-        op.hard_deps = self.ids.pop().unwrap_or_default();
-        op.group_live = self.ids.pop().unwrap_or_default();
-        op.group_deps = self.pairs.pop().unwrap_or_default();
-        op.group_done = self.flags.pop().unwrap_or_default();
+    /// Gives `list` a parked buffer before its first push, if it has
+    /// none yet.
+    fn fill<T>(pool: &mut Vec<Vec<T>>, list: &mut Vec<T>) {
+        if list.capacity() == 0 {
+            if let Some(buf) = pool.pop() {
+                *list = buf;
+            }
+        }
     }
 }
 
@@ -795,8 +799,8 @@ struct Engine<'a> {
     policy: &'a dyn Policy,
 
     ops: Vec<Op>,
-    /// Dependency buffers of earlier runs' recovery ops, reused by
-    /// [`Engine::push_op`] instead of allocating.
+    /// Dependency buffers of earlier runs' recovery ops, reused by the
+    /// wiring helpers instead of allocating.
     dep_pool: DepPool,
     /// `(finish, kind, id)`; kind 0 = op completion (`id` = op), 1 =
     /// crash detection, 2 = rejoin knowledge (`id` = `epoch · m + proc`).
@@ -1164,7 +1168,7 @@ impl<'a> Engine<'a> {
     /// The template fast path: clone the pre-built op graph reusing this
     /// arena's per-op buffers, then overwrite the crash deadlines. The
     /// dependency buffers of the previous run's recovery ops (beyond the
-    /// template) are parked for [`Engine::push_op`].
+    /// template) are parked in the [`DepPool`].
     fn build_from_template(&mut self, plan: &StaticPlan) {
         let m = self.inst.num_procs();
         for op in self
@@ -1674,16 +1678,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Appends fresh recovery op `op` (empty dependency lists) and
-    /// returns its id, dressing it in parked dependency buffers so that
-    /// repair work stops allocating once the arena is warm.
-    fn push_op(&mut self, mut op: Op) -> u32 {
-        self.dep_pool.dress(&mut op);
-        let id = self.ops.len() as u32;
-        self.ops.push(op);
-        id
-    }
-
     // --- dependency wiring helpers --------------------------------------
 
     fn add_hard_dep(&mut self, from: u32, to: u32) {
@@ -1701,7 +1695,9 @@ impl<'a> Engine<'a> {
                 self.fail_scratch = acts;
             }
             _ => {
-                self.ops[from as usize].hard_deps.push(to);
+                let deps = &mut self.ops[from as usize].hard_deps;
+                DepPool::fill(&mut self.dep_pool.ids, deps);
+                deps.push(to);
                 self.ops[to as usize].hard_remaining += 1;
             }
         }
@@ -1720,12 +1716,16 @@ impl<'a> Engine<'a> {
                 }
                 OpState::Failed | OpState::GhostDone | OpState::Cancelled => {}
                 _ => {
-                    self.ops[mo as usize].group_deps.push((ex, gi));
+                    let deps = &mut self.ops[mo as usize].group_deps;
+                    DepPool::fill(&mut self.dep_pool.pairs, deps);
+                    deps.push((ex, gi));
                     live += 1;
                 }
             }
         }
         let op = &mut self.ops[ex as usize];
+        DepPool::fill(&mut self.dep_pool.ids, &mut op.group_live);
+        DepPool::fill(&mut self.dep_pool.flags, &mut op.group_done);
         if let Some(t) = done_time {
             // A member already delivered: group satisfied at its time.
             op.group_live.push(live);
@@ -2116,7 +2116,7 @@ impl<'a> Engine<'a> {
             mop.dst = on as u32;
             mop.recovery = true;
             mop.est_finish = src_est.max(now) + w;
-            self.push_op(mop);
+            self.ops.push(mop);
             self.recovery_messages += 1;
             match src_op {
                 Some(s) => self.add_hard_dep(s, mid),
@@ -2219,7 +2219,7 @@ impl<'a> Engine<'a> {
         exec_op.recovery = true;
         exec_op.est_finish = est;
         self.apply_checkpointing(&mut exec_op);
-        self.push_op(exec_op);
+        self.ops.push(exec_op);
         self.recovery_exec[t.index()].push(ex);
         self.recovery_replicas += 1;
 
@@ -2240,7 +2240,7 @@ impl<'a> Engine<'a> {
             let mid = self.ops.len() as u32;
             let mut mop = Op::new(w, now, self.deadline_after(src_proc, now), src_proc);
             mop.dst = q.index() as u32;
-            self.push_op(mop);
+            self.ops.push(mop);
             self.recovery_messages += 1;
             match src_op {
                 Some(s) => self.add_hard_dep(s, mid),
@@ -2326,7 +2326,7 @@ impl<'a> Engine<'a> {
         op.done_frac = frac;
         op.est_finish = est;
         self.apply_checkpointing(&mut op);
-        self.push_op(op);
+        self.ops.push(op);
         self.recovery_exec[t.index()].push(ex);
         self.recovery_replicas += 1;
         let mut acts = std::mem::take(&mut self.act_scratch);
@@ -2440,7 +2440,7 @@ impl<'a> Engine<'a> {
                 op.recovery = true;
                 op.fixed_finish = Some(r.finish);
                 op.est_finish = r.finish;
-                self.push_op(op);
+                self.ops.push(op);
                 rp.new_exec[t].push(id);
                 self.recovery_exec[t].push(id);
                 self.recovery_replicas += 1;
@@ -2488,7 +2488,7 @@ impl<'a> Engine<'a> {
                         mop.dst = msg.to.index() as u32;
                         mop.fixed_finish = Some(msg.finish);
                         mop.recovery = true;
-                        self.push_op(mop);
+                        self.ops.push(mop);
                         if !msg.is_local() {
                             self.recovery_messages += 1;
                         }
