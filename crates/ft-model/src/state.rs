@@ -196,20 +196,21 @@ impl NetworkState {
         });
         // Serialize: chain through temporary copies of SF / R(l) / RF.
         // Batches are small (≤ |Γ−(t)| · (ε+1)), so linear scans beat maps.
-        // Every message here comes from a distinct-from-`dst` sender, so one
-        // per-sender entry carries both its send port and its link to `dst`.
+        // A sender's send port and its link to `dst` always advance
+        // together, to the same finish, so one per-sender entry holds both.
         let ports = &mut scratch.ports;
         ports.clear();
         let mut rf = self.recv_free(dst);
         for &(_, spec) in keyed.iter() {
-            let (sf, lr) = match ports.iter().find(|(k, _)| *k == spec.from) {
-                Some(&(_, t)) => (t, t),
+            let seen = ports.iter().position(|&(k, _)| k == spec.from);
+            let (sf, lr) = match seen {
+                Some(i) => (ports[i].1, ports[i].1),
                 None => (self.send_free(spec.from), self.link_ready(spec.from, dst)),
             };
             let start = spec.ready.max(sf).max(lr).max(rf);
             let finish = start + spec.w;
-            match ports.iter_mut().find(|(k, _)| *k == spec.from) {
-                Some((_, t)) => *t = finish,
+            match seen {
+                Some(i) => ports[i].1 = finish,
                 None => ports.push((spec.from, finish)),
             }
             rf = finish;

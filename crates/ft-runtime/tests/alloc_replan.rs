@@ -160,8 +160,4 @@ fn reschedule_replans_reuse_their_arenas() {
         "a warm Reschedule run allocated {per_run} times, more than a fifth \
          of the {ALLOCS_PER_RUN_BEFORE_ARENA} before replans reused their arena"
     );
-    eprintln!(
-        "warm Reschedule run: {per_run} allocations, {} replans",
-        replans as f64 / 30.0
-    );
 }
