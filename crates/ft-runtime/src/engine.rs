@@ -926,6 +926,10 @@ struct Engine<'a> {
     /// completion-discovery instant of ops resolved behind later events
     /// (ghost pass-through, DESIGN.md §4).
     frontier: f64,
+    /// Op count at the latest replan's cancellation pass: every op below
+    /// it is already `Done`, `Failed`, `GhostDone` or `Cancelled`, so the
+    /// next replan only scans the ops created since.
+    replan_floor: usize,
     /// Phase timers, attached by [`execute_profiled`]; only read with the
     /// `phase-profile` feature. (`PhaseProfile` is a concrete type, so
     /// this keeps `Engine<'a>` covariant — a `&mut dyn` observer field
@@ -1105,6 +1109,7 @@ impl<'a> Engine<'a> {
             work_lost: 0.0,
             detection_lag: 0.0,
             frontier: 0.0,
+            replan_floor: 0,
             profile: None,
         }
     }
@@ -2369,12 +2374,15 @@ impl<'a> Engine<'a> {
             return;
         }
         self.reschedules += 1;
-        // Cancel superseded repair work.
-        for op in &mut self.ops {
+        // Cancel superseded repair work. Ops below the floor were already
+        // past `Pending`/`Scheduled` at the previous replan, and no op
+        // ever re-enters those states.
+        for op in &mut self.ops[self.replan_floor..] {
             if op.recovery && matches!(op.state, OpState::Pending | OpState::Scheduled) {
                 op.state = OpState::Cancelled;
             }
         }
+        self.replan_floor = self.ops.len();
         let mut recovery_exec = std::mem::take(&mut self.recovery_exec);
         for lists in &mut recovery_exec {
             lists.retain(|&id| self.ops[id as usize].state == OpState::Done);
