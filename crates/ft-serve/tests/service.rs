@@ -242,6 +242,33 @@ fn malformed_spec_fails_with_diagnostic_and_queue_keeps_draining() {
 }
 
 #[test]
+fn deeply_nested_spec_fails_at_claim_without_aborting_the_daemon() {
+    // A 20 KB job file of 10,000 nested arrays. The recursive JSON
+    // parser used to overflow the worker's stack on it, aborting the
+    // whole daemon on every restart before the file reached running/.
+    let root = temp_root("nested");
+    let queue = JobQueue::open(&root).unwrap();
+    std::fs::write(root.join("queue/pending/a-nested.json"), "[".repeat(10_000)).unwrap();
+    let good_spec = JobSpec::example("alice");
+    let good = queue.submit(Some("z-good"), &good_spec).unwrap();
+    Daemon::new(&root)
+        .unwrap()
+        .with_workers(1)
+        .run_until_idle()
+        .unwrap();
+    assert_eq!(queue.state("a-nested"), Some(JobState::Failed));
+    let diagnostic = queue.read_error("a-nested").unwrap();
+    assert!(diagnostic.contains("nest"), "{diagnostic}");
+    assert_eq!(queue.state(&good), Some(JobState::Done), "the good job ran");
+    assert_eq!(
+        cells_json(&read_final(&root, &good).unwrap().cells),
+        cells_json(&good_spec.direct_cell_results()),
+        "the good job beside the hostile one must verify byte for byte"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn build_rejected_specs_fail_at_claim_and_leave_the_cache_usable() {
     // Specs the workload build cannot serve: ε ≥ processors (no room for
     // ε + 1 distinct hosts), and a granularity that is not a positive
