@@ -26,6 +26,7 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -143,9 +144,16 @@ fn write_string(s: &str, out: &mut String) {
 
 // --- parser --------------------------------------------------------------
 
+/// Deepest value nesting [`from_str`] accepts. The parser recurses once
+/// per level, so unbounded nesting in hostile input would overflow the
+/// stack; everything this workspace writes stays a few levels deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Values currently being parsed (the recursion depth).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -186,6 +194,16 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_value(&mut self) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = self.parse_nested();
+        self.depth -= 1;
+        v
+    }
+
+    fn parse_nested(&mut self) -> Result<Value, Error> {
         match self.peek() {
             Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
@@ -412,5 +430,15 @@ mod tests {
         assert!(from_str::<f64>("1.5trailing").is_err());
         assert!(from_str::<Vec<u32>>("[1,]").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str::<Value>(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = from_str::<Value>(&deep).unwrap_err().to_string();
+        assert!(err.contains("nesting"), "{err}");
+        assert!(from_str::<Value>(&"{\"a\":".repeat(10_000)).is_err());
     }
 }
