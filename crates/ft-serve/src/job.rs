@@ -207,5 +207,43 @@ mod tests {
                 "granularity {g}"
             );
         }
+        // Grid knobs the engine's own asserts reject mid-run.
+        let cases: [(&str, fn(&mut SweepGrid)); 15] = [
+            ("mttf_factors", |g| g.mttf_factors.push(-1.0)),
+            ("mttf_factors", |g| g.mttf_factors.push(0.0)),
+            ("mttf_factors", |g| g.mttf_factors.push(f64::NAN)),
+            ("mttf_factors", |g| g.mttf_factors.push(f64::INFINITY)),
+            ("mttr_factors", |g| g.mttr_factors.push(Some(-1.0))),
+            ("mttr_factors", |g| g.mttr_factors.push(Some(0.0))),
+            ("mttr_factors", |g| g.mttr_factors.push(Some(f64::NAN))),
+            ("checkpoint_intervals", |g| {
+                g.checkpoint_intervals.push(-1.0)
+            }),
+            ("checkpoint_intervals", |g| {
+                g.checkpoint_intervals.push(f64::NAN)
+            }),
+            ("checkpoint_overhead", |g| g.checkpoint_overhead = -1.0),
+            ("checkpoint_overhead", |g| g.checkpoint_overhead = f64::NAN),
+            // The roster's adaptive entry needs a positive overhead.
+            ("checkpoint_overhead", |g| g.checkpoint_overhead = 0.0),
+            ("detection_latency", |g| g.detection_latency = -1.0),
+            ("detection_latency", |g| g.detection_latency = f64::NAN),
+            ("detection_latency", |g| {
+                g.detection_latency = 0.0;
+                g.detections.push(DetectionKind::Gossip);
+            }),
+        ];
+        for (i, (field, break_it)) in cases.iter().enumerate() {
+            let mut spec = ok.clone();
+            break_it(&mut spec.grid);
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains(field), "case {i}: {err}");
+        }
+        // The edges the engine accepts stay accepted.
+        let mut edge = ok.clone();
+        edge.grid.checkpoint_intervals.push(f64::INFINITY);
+        edge.grid.detection_latency = 0.0;
+        edge.grid.mttr_factors.push(Some(0.5));
+        edge.validate().unwrap();
     }
 }
