@@ -81,7 +81,8 @@ impl JobSpec {
     }
 
     /// Validates the spec's cheap invariants (non-empty tenant and axes,
-    /// positive run count, a buildable workload) so misconfigured jobs
+    /// positive run count, a buildable workload, grid knobs the engine
+    /// accepts) so misconfigured jobs
     /// fail at submit/claim time with a message instead of producing an
     /// empty sweep — or panicking inside the shared workload build.
     pub fn validate(&self) -> Result<(), String> {
@@ -112,6 +113,48 @@ impl JobSpec {
                 "workload.granularity must be a positive finite number, got {}",
                 w.granularity
             ));
+        }
+        // The grid knobs, checked against exactly what the engine's
+        // constructors assert once the cells resolve.
+        let g = &self.grid;
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if let Some(f) = g.mttf_factors.iter().find(|f| !positive(**f)) {
+            return Err(format!(
+                "grid.mttf_factors must be positive finite numbers, got {f}"
+            ));
+        }
+        if let Some(f) = g.mttr_factors.iter().flatten().find(|f| !positive(**f)) {
+            return Err(format!(
+                "grid.mttr_factors must be null or positive finite numbers, got {f}"
+            ));
+        }
+        if let Some(iv) = g
+            .checkpoint_intervals
+            .iter()
+            .find(|iv| !(**iv > 0.0 && !iv.is_nan()))
+        {
+            return Err(format!(
+                "grid.checkpoint_intervals must be positive (infinity disables checkpoints), got {iv}"
+            ));
+        }
+        // Every roster carries an adaptive-checkpoint entry, whose
+        // Young/Daly interval needs a positive overhead.
+        if !positive(g.checkpoint_overhead) {
+            return Err(format!(
+                "grid.checkpoint_overhead must be a positive finite number, got {}",
+                g.checkpoint_overhead
+            ));
+        }
+        if !(g.detection_latency.is_finite() && g.detection_latency >= 0.0) {
+            return Err(format!(
+                "grid.detection_latency must be a non-negative finite number, got {}",
+                g.detection_latency
+            ));
+        }
+        if g.detection_latency == 0.0 && g.detections.contains(&DetectionKind::Gossip) {
+            return Err(
+                "grid.detection_latency sets the gossip period: it must be positive".into(),
+            );
         }
         Ok(())
     }
