@@ -67,7 +67,8 @@ struct Dump {
 /// `VALIDATION_<family>.json`, print the claim tables (plus the
 /// completion isoclines for the grid), optionally re-target the records
 /// (`--bless`) or write the refreshed records elsewhere (`--out`, the CI
-/// artifact path), and exit 1 when any claim FAILED.
+/// artifact path), and exit 1 when any claim FAILED or a family has no
+/// committed record to check against (unless `--bless` creates it).
 ///
 /// `--records DIR` points both loading and blessing at a different
 /// record set — the full-resolution lane keeps its records under
@@ -108,7 +109,17 @@ fn run_validate(args: &[String], quick: bool) {
     {
         let committed = load_family(&dir, fam);
         match &committed {
-            None => eprintln!("note: no committed record for '{fam}' yet (run with --bless)"),
+            // Without a record the predictions would only be checked
+            // against themselves: a vacuous pass.
+            None if !do_bless => {
+                eprintln!(
+                    "FAILED: no committed record for '{fam}' in {} (run with --bless)",
+                    dir.display()
+                );
+                all_passed = false;
+                continue;
+            }
+            None => {}
             Some(c) if c.quick != quick => eprintln!(
                 "warning: committed '{fam}' record holds {} targets but this run uses {} \
                  dimensions — errors reflect the dimension change, not a regression",
