@@ -4,8 +4,8 @@
 //! scaffolding on the standard two-crash paper-scale run:
 //!
 //! * `runtime/profile/execute` — the plain engine (the baseline);
-//! * `runtime/profile/execute_profiled` — the same run through
-//!   [`execute_profiled`]; without the `phase-profile` cargo feature the
+//! * `runtime/profile/execute_profiled` — the same run with a
+//!   [`PhaseProfile`] attached through `Simulation::run_with`; without the `phase-profile` cargo feature the
 //!   timers are compiled out and the two cells must agree within noise,
 //!   with it the gap *is* the measurement overhead.
 //!
@@ -31,7 +31,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ft_algos::{caft, CommModel};
 use ft_bench::paper_instance;
 use ft_platform::ProcId;
-use ft_runtime::{execute_profiled, EngineConfig, PhaseProfile, RecoveryPolicy, Simulation};
+use ft_runtime::{PhaseProfile, RecoveryPolicy, Simulation};
 use ft_sim::FaultScenario;
 use std::hint::black_box;
 
@@ -41,24 +41,25 @@ fn bench_profile(c: &mut Criterion) {
     let nominal = sched.latency();
     let scenario = FaultScenario::timed(&[(ProcId(2), nominal * 0.3), (ProcId(7), nominal * 0.6)]);
     let sim = Simulation::of(&inst, &sched).policy(RecoveryPolicy::ReReplicate);
-    let cfg = EngineConfig {
-        policy: RecoveryPolicy::ReReplicate,
-        ..EngineConfig::default()
-    };
+    let profiled = |profile: &mut PhaseProfile| sim.run_with(&scenario, None, Some(profile));
 
     // Profiling only measures: the outcome is byte-identical either way.
     let plain = sim.run(&scenario);
-    let (profiled, _) = sim.run_profiled(&scenario);
+    let with_profile = profiled(&mut PhaseProfile::new());
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
-        serde_json::to_string(&profiled).unwrap(),
-        "execute_profiled must not steer the run"
+        serde_json::to_string(&with_profile).unwrap(),
+        "profiling must not steer the run"
     );
 
     let mut group = c.benchmark_group("runtime/profile");
     group.bench_function("execute", |b| b.iter(|| black_box(sim.run(&scenario))));
     group.bench_function("execute_profiled", |b| {
-        b.iter(|| black_box(execute_profiled(&inst, &sched, &scenario, &cfg)))
+        b.iter(|| {
+            let mut profile = PhaseProfile::new();
+            black_box(profiled(&mut profile));
+            black_box(profile)
+        })
     });
     group.finish();
 
@@ -66,7 +67,8 @@ fn bench_profile(c: &mut Criterion) {
     // batch of identical runs so one-off scheduling noise averages out.
     let mut total = PhaseProfile::new();
     for _ in 0..100 {
-        let (_, profile) = sim.run_profiled(&scenario);
+        let mut profile = PhaseProfile::new();
+        profiled(&mut profile);
         total.merge(&profile);
     }
     if cfg!(feature = "phase-profile") {

@@ -67,8 +67,8 @@ use ft_bench::paper_instance;
 use ft_graph::gen::{random_layered, RandomDagParams};
 use ft_platform::{random_instance, PlatformParams, ProcId, Topology};
 use ft_runtime::{
-    execute, simulate_grid, Contention, DetectionModel, EngineConfig, Executor, FailureKind,
-    LifetimeDist, MonteCarloConfig, RecoveryPolicy, Simulation,
+    simulate_grid, Contention, DetectionModel, EngineConfig, Executor, FailureKind, LifetimeDist,
+    MonteCarloConfig, RecoveryPolicy, Simulation,
 };
 use ft_serve::{ArtifactCache, JobSpec};
 use ft_sim::{replay, FaultScenario};
@@ -103,9 +103,9 @@ fn bench_no_failure_overhead(c: &mut Criterion) {
     let inst = paper_instance(2, 100, 10, 1.0);
     let sched = caft(&inst, 1, CommModel::OnePort, 0);
     let none = FaultScenario::none();
-    let cfg = EngineConfig::default();
+    let sim = Simulation::of(&inst, &sched);
     // Semantics check: engine == replay on the failure-free run.
-    let online = execute(&inst, &sched, &none, &cfg).latency().unwrap();
+    let online = sim.run(&none).latency().unwrap();
     let stat = replay(&inst, &sched, &none).latency().unwrap();
     assert!(
         (online - stat).abs() < 1e-9,
@@ -117,15 +117,13 @@ fn bench_no_failure_overhead(c: &mut Criterion) {
     // template, zero heap allocations per run (pinned by the
     // `alloc_discipline` test). This is what `simulate_many`,
     // `ChunkedBatch` and `simulate_grid` pay per run.
-    let mut exec = Executor::new(&inst, &sched, &cfg);
+    let mut exec = Executor::new(&inst, &sched, sim.config());
     assert!((exec.run(&none).latency().unwrap() - stat).abs() < 1e-9);
     group.bench_function("online engine", |b| {
         b.iter(|| black_box(exec.run(black_box(&none)).completed()))
     });
     // The cold path: plan resolution + arena growth on every call.
-    group.bench_function("one-shot execute", |b| {
-        b.iter(|| black_box(execute(&inst, &sched, &none, &cfg)))
-    });
+    group.bench_function("one-shot execute", |b| b.iter(|| black_box(sim.run(&none))));
     group.bench_function("static replay", |b| {
         b.iter(|| black_box(replay(&inst, &sched, &none)))
     });

@@ -38,7 +38,7 @@
 //!
 //! let mut sink = JsonlSink::new(Vec::new());
 //! let scenario = ft_sim::FaultScenario::timed(&[(ft_platform::ProcId(0), 1.0)]);
-//! Simulation::of(&inst, &sched).observe(&mut sink).run(&scenario);
+//! Simulation::of(&inst, &sched).run_with(&scenario, Some(&mut sink), None);
 //! let bytes = sink.finish().unwrap();
 //! for line in String::from_utf8(bytes).unwrap().lines() {
 //!     serde_json::from_str::<serde::Value>(line).unwrap();
@@ -51,10 +51,8 @@
 use std::io;
 
 pub use ft_runtime::{
-    execute_observed, execute_observed_with, execute_profiled, execute_profiled_with,
-    execute_traced, execute_traced_with, EngineTrace, Histogram, MetricSet, NoopObserver,
-    ObservedSimulation, Observer, OpTrace, Phase, PhaseProfile, PhaseStat, RunOutcome, TraceEvent,
-    TraceEventKind, TraceObserver,
+    EngineTrace, Histogram, MetricSet, NoopObserver, Observer, OpTrace, Phase, PhaseProfile,
+    PhaseStat, RunOutcome, TraceEvent, TraceEventKind, TraceObserver,
 };
 
 use serde::{Serialize, Value};
@@ -171,7 +169,7 @@ mod tests {
     use ft_algos::{caft, CommModel};
     use ft_graph::gen::{random_layered, RandomDagParams};
     use ft_platform::{random_instance, PlatformParams, ProcId};
-    use ft_runtime::{execute_traced, EngineConfig};
+    use ft_runtime::Simulation;
     use ft_sim::FaultScenario;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -187,15 +185,17 @@ mod tests {
     #[test]
     fn jsonl_lines_parse_and_mirror_the_buffered_trace() {
         let (inst, sched) = fixture();
-        let cfg = EngineConfig::default();
+        let sim = Simulation::of(&inst, &sched);
         let scenario = FaultScenario::timed(&[(ProcId(0), sched.latency() / 3.0)]);
 
         let mut sink = JsonlSink::new(Vec::new());
-        let out = execute_observed(&inst, &sched, &scenario, &cfg, &mut sink);
+        let out = sim.run_with(&scenario, Some(&mut sink), None);
         assert!(sink.records() > 0);
         let bytes = sink.finish().unwrap();
 
-        let (out2, trace) = execute_traced(&inst, &sched, &scenario, &cfg);
+        let mut tracer = TraceObserver::new();
+        let out2 = sim.run_with(&scenario, Some(&mut tracer), None);
+        let trace = tracer.into_trace();
         assert_eq!(
             serde_json::to_string(&out).unwrap(),
             serde_json::to_string(&out2).unwrap()
@@ -246,10 +246,9 @@ mod tests {
         }
 
         let (inst, sched) = fixture();
-        let cfg = EngineConfig::default();
         let scenario = FaultScenario::timed(&[(ProcId(0), 1.0)]);
         let mut sink = JsonlSink::new(Failing);
-        execute_observed(&inst, &sched, &scenario, &cfg, &mut sink);
+        Simulation::of(&inst, &sched).run_with(&scenario, Some(&mut sink), None);
         assert_eq!(sink.records(), 0);
         assert!(sink.finish().is_err());
     }

@@ -65,9 +65,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Configuration of a Monte-Carlo batch.
 ///
@@ -120,134 +118,22 @@ impl MonteCarloConfig {
 /// (in parallel via rayon) and aggregates them deterministically in O(1)
 /// memory per worker: the same configuration always produces the same
 /// [`BatchSummary`], regardless of thread count (see the module docs for
-/// why the merge is bit-exact).
+/// why the merge is bit-exact). A custom [`Policy`] runs through
+/// [`ChunkedBatch`] (or [`Simulation::policy_impl`]), the same loop.
+///
+/// [`Simulation::policy_impl`]: crate::Simulation::policy_impl
 pub fn simulate_many(inst: &Instance, sched: &FtSchedule, cfg: &MonteCarloConfig) -> BatchSummary {
-    // One batch loop for both dispatch forms: execute_with(&cfg.policy)
-    // is execute(cfg) and the built-in label is the policy's own.
-    simulate_many_with(inst, sched, cfg, &cfg.engine.policy)
-}
-
-/// [`simulate_many`] with an explicit [`Policy`] implementation: every
-/// run dispatches `policy` through the open action path (see
-/// [`execute_with`](crate::execute_with)); `cfg.engine.policy` only
-/// fills the summary's
-/// serializable `policy` field, while
-/// [`policy_label`](BatchSummary::policy_label) reports the label of the
-/// policy that actually ran. Determinism and the streaming aggregation
-/// guarantees are identical to [`simulate_many`]'s.
-pub fn simulate_many_with(
-    inst: &Instance,
-    sched: &FtSchedule,
-    cfg: &MonteCarloConfig,
-    policy: &dyn Policy,
-) -> BatchSummary {
-    simulate_many_inner(inst, sched, cfg, policy, None)
-}
-
-/// A streaming Monte-Carlo progress snapshot, handed to the callback of
-/// [`simulate_many_with_progress`] after each finished run.
-#[derive(Clone, Copy, Debug)]
-pub struct Progress {
-    /// Runs finished so far, across all workers (1-based: the callback
-    /// fires after a run completes).
-    pub completed_runs: usize,
-    /// Total runs of the batch.
-    pub total_runs: usize,
-    /// Wall-clock time since the batch started.
-    pub elapsed: Duration,
-    /// Naive remaining-wall-clock estimate: elapsed scaled by the runs
-    /// still outstanding (assumes a uniform per-run cost).
-    pub eta: Duration,
-}
-
-impl Progress {
-    /// Completed fraction of the batch, in `[0, 1]`.
-    pub fn fraction(&self) -> f64 {
-        if self.total_runs == 0 {
-            return 1.0;
-        }
-        self.completed_runs as f64 / self.total_runs as f64
-    }
-}
-
-/// [`simulate_many_with`] with a streaming progress callback: `progress`
-/// fires once per finished run with a [`Progress`] snapshot (runs
-/// completed, elapsed, ETA). The callback observes completions in
-/// whatever order the rayon workers finish — nondeterministic — but it
-/// cannot influence the aggregation, so the returned [`BatchSummary`] is
-/// byte-identical to [`simulate_many_with`]'s.
-pub fn simulate_many_with_progress(
-    inst: &Instance,
-    sched: &FtSchedule,
-    cfg: &MonteCarloConfig,
-    policy: &dyn Policy,
-    progress: &(dyn Fn(Progress) + Sync),
-) -> BatchSummary {
-    simulate_many_inner(inst, sched, cfg, policy, Some(progress))
-}
-
-/// The one batch loop behind every `simulate_many*` form.
-fn simulate_many_inner(
-    inst: &Instance,
-    sched: &FtSchedule,
-    cfg: &MonteCarloConfig,
-    policy: &dyn Policy,
-    progress: Option<&(dyn Fn(Progress) + Sync)>,
-) -> BatchSummary {
-    let plan = StaticPlan::new(inst, sched, policy);
-    let pool = ScratchPool::new();
-    let done = AtomicUsize::new(0);
-    let sink = progress.map(|cb| ProgressSink {
-        cb,
-        started: Instant::now(),
-        done: &done,
-        total: cfg.runs,
-    });
-    accumulate_range(
-        inst,
-        sched,
-        cfg,
-        policy,
-        &plan,
-        &pool,
-        0..cfg.runs,
-        sink.as_ref(),
-    )
-    .finish_labeled(cfg.engine.policy, policy.label())
-}
-
-/// Shared progress state of one batch: workers bump the counter and fire
-/// the callback after each finished run.
-struct ProgressSink<'p> {
-    cb: &'p (dyn Fn(Progress) + Sync),
-    started: Instant,
-    done: &'p AtomicUsize,
-    total: usize,
-}
-
-impl ProgressSink<'_> {
-    fn fire(&self) {
-        let completed_runs = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        let elapsed = self.started.elapsed();
-        let remaining = self.total.saturating_sub(completed_runs);
-        (self.cb)(Progress {
-            completed_runs,
-            total_runs: self.total,
-            elapsed,
-            eta: elapsed.mul_f64(remaining as f64 / completed_runs as f64),
-        });
-    }
+    ChunkedBatch::new(inst, sched, cfg, &cfg.engine.policy).finish()
 }
 
 /// Runs `range` of the batch through the shared plan and scratch pool —
-/// the rayon fold/reduce every batch form ([`simulate_many`],
-/// [`ChunkedBatch`] chunks, [`simulate_grid`] cells) goes through. Each
+/// the rayon fold/reduce every batch form ([`ChunkedBatch`] chunks,
+/// hence [`simulate_many`], and [`simulate_grid`] cells) goes through. Each
 /// worker takes one warm arena from `pool` at its first run, reuses it
 /// across its whole sub-range (zero allocations per failure-free run in
 /// steady state), and the reduce returns every arena to the pool. The
 /// merge is bit-exact, so the result does not depend on how rayon split
 /// the range.
-#[allow(clippy::too_many_arguments)]
 fn accumulate_range(
     inst: &Instance,
     sched: &FtSchedule,
@@ -256,7 +142,6 @@ fn accumulate_range(
     plan: &StaticPlan,
     pool: &ScratchPool,
     range: Range<usize>,
-    progress: Option<&ProgressSink<'_>>,
 ) -> BatchAccumulator {
     let m = inst.num_procs();
     let nominal = sched.latency();
@@ -279,9 +164,6 @@ fn accumulate_range(
                     None,
                 );
                 acc.record(scenario.earliest_crash(), &scratch.outcome);
-                if let Some(sink) = progress {
-                    sink.fire();
-                }
                 (acc, slot)
             },
         )
@@ -341,25 +223,25 @@ pub fn simulate_grid(
             &plans[idx].1,
             &pool,
             0..cfg.runs,
-            None,
         );
         out.push(acc.finish_labeled(cfg.engine.policy, cfg.engine.policy.label()));
     }
     out
 }
 
-/// A resumable, chunked form of [`simulate_many_with`]: the batch's runs
-/// are executed in caller-paced chunks, each chunk through the same
-/// rayon fold/reduce as [`simulate_many`], and folded into one held
-/// [`BatchAccumulator`]. Between chunks the caller can take a
+/// A resumable, chunked Monte-Carlo batch under any [`Policy`] — the one
+/// batch loop behind [`simulate_many`] and
+/// [`Simulation::monte_carlo`](crate::Simulation::monte_carlo). The
+/// batch's runs are executed in caller-paced chunks, each chunk through
+/// a rayon fold/reduce, and folded into one held [`BatchAccumulator`]. Between chunks the caller can take a
 /// [`snapshot`](ChunkedBatch::snapshot) — a well-defined partial
 /// [`BatchSummary`] over the runs executed so far — or abandon the batch
 /// entirely (cancellation).
 ///
 /// Because run `i`'s scenario depends only on `(cfg.seed, i)` and the
 /// accumulator merge is bit-exact (see the module docs), the final
-/// summary is **byte-identical** to a direct [`simulate_many_with`] call
-/// regardless of how the runs were chunked — the property `ft-serve`
+/// summary is **byte-identical** regardless of how the runs were
+/// chunked — the property `ft-serve`
 /// leans on to stream result deltas without changing the science.
 ///
 /// # Example
@@ -481,7 +363,6 @@ impl<'a> ChunkedBatch<'a> {
             &self.plan,
             &self.pool,
             start..end,
-            None,
         );
         let held = std::mem::replace(&mut self.acc, BatchAccumulator::new(nominal));
         self.acc = held.merge(chunk);
@@ -490,7 +371,7 @@ impl<'a> ChunkedBatch<'a> {
     }
 
     /// A partial [`BatchSummary`] over the runs executed so far — the
-    /// exact summary [`simulate_many_with`] would return for a batch of
+    /// exact summary of a batch of
     /// [`completed_runs`](ChunkedBatch::completed_runs) runs. Mergeable
     /// downstream: successive snapshots supersede each other (each covers
     /// all runs so far, not a delta).
@@ -501,8 +382,8 @@ impl<'a> ChunkedBatch<'a> {
     }
 
     /// Executes any outstanding runs, then closes the batch. The result
-    /// is byte-identical to [`simulate_many_with`] on the same
-    /// configuration, regardless of prior chunking.
+    /// is the same bytes for the same configuration, regardless of prior
+    /// chunking.
     pub fn finish(mut self) -> BatchSummary {
         while self.run_chunk(usize::MAX) > 0 {}
         self.acc
@@ -533,19 +414,12 @@ impl std::fmt::Debug for ChunkedBatch<'_> {
 pub struct BatchAccumulator {
     /// The schedule's nominal latency (slowdown denominator).
     nominal: f64,
-    runs: usize,
-    completed: usize,
     disturbed: usize,
-    rejoins: usize,
-    lat_sum: ExactSum,
-    lat_max: f64,
-    slow_sum: ExactSum,
     failures: usize,
     tasks_recovered: usize,
-    recovery_replicas: usize,
-    recovery_messages: usize,
     checkpoint_overhead: ExactSum,
-    work_saved: ExactSum,
+    /// Also the source of the run, completion, latency, slowdown, rejoin,
+    /// recovery and work-saved fields of the summary.
     metrics: MetricSet,
 }
 
@@ -555,19 +429,10 @@ impl BatchAccumulator {
     pub fn new(nominal: f64) -> Self {
         BatchAccumulator {
             nominal,
-            runs: 0,
-            completed: 0,
             disturbed: 0,
-            rejoins: 0,
-            lat_sum: ExactSum::new(),
-            lat_max: 0.0,
-            slow_sum: ExactSum::new(),
             failures: 0,
             tasks_recovered: 0,
-            recovery_replicas: 0,
-            recovery_messages: 0,
             checkpoint_overhead: ExactSum::new(),
-            work_saved: ExactSum::new(),
             metrics: MetricSet::for_nominal(nominal),
         }
     }
@@ -576,25 +441,11 @@ impl BatchAccumulator {
     /// earliest scenario crash time (`None` = failure-free), used for the
     /// `disturbed` count.
     pub fn record(&mut self, earliest_crash: Option<f64>, out: &RunOutcome) {
-        self.runs += 1;
-        self.rejoins += out.rejoins;
         self.failures += out.num_failures;
         self.tasks_recovered += out.tasks_recovered();
-        self.recovery_replicas += out.recovery_replicas;
-        self.recovery_messages += out.recovery_messages;
         self.checkpoint_overhead.add(out.checkpoint_overhead);
-        self.work_saved.add(out.work_saved);
         if earliest_crash.is_some_and(|t| t < self.nominal) {
             self.disturbed += 1;
-        }
-        if let Some(lat) = out.latency() {
-            self.completed += 1;
-            self.lat_sum.add(lat);
-            self.lat_max = self.lat_max.max(lat);
-            // The one slowdown definition (RunOutcome::slowdown) — kept in
-            // lock-step with RunReport.
-            self.slow_sum
-                .add(out.slowdown(self.nominal).unwrap_or(f64::NAN));
         }
         self.metrics.record(self.nominal, out);
     }
@@ -603,32 +454,24 @@ impl BatchAccumulator {
     /// the bit (integer counters, max, and exact sums), so any merge tree
     /// over the same runs produces the same final summary.
     pub fn merge(mut self, other: Self) -> Self {
+        let (runs, other_runs) = (self.metrics.runs(), other.metrics.runs());
         debug_assert!(
-            other.runs == 0 || self.runs == 0 || self.nominal == other.nominal,
+            other_runs == 0 || runs == 0 || self.nominal == other.nominal,
             "merging accumulators of different schedules"
         );
-        if self.runs == 0 {
+        if runs == 0 {
             // Adopt the non-empty side's shape (the reduce identity is
             // built with the same nominal in simulate_many, but a generic
             // caller may merge into a default-shaped empty accumulator).
             self.nominal = other.nominal;
-            self.metrics = other.metrics.clone(); // adopt the bucket shape
-        } else if other.runs > 0 {
+            self.metrics = other.metrics; // adopt the bucket shape
+        } else if other_runs > 0 {
             self.metrics.merge(&other.metrics);
         }
-        self.runs += other.runs;
-        self.completed += other.completed;
         self.disturbed += other.disturbed;
-        self.rejoins += other.rejoins;
-        self.lat_sum.merge(&other.lat_sum);
-        self.lat_max = self.lat_max.max(other.lat_max);
-        self.slow_sum.merge(&other.slow_sum);
         self.failures += other.failures;
         self.tasks_recovered += other.tasks_recovered;
-        self.recovery_replicas += other.recovery_replicas;
-        self.recovery_messages += other.recovery_messages;
         self.checkpoint_overhead.merge(&other.checkpoint_overhead);
-        self.work_saved.merge(&other.work_saved);
         self
     }
 
@@ -644,23 +487,27 @@ impl BatchAccumulator {
     /// where `policy` is only the serializable placeholder from the
     /// engine config.
     pub fn finish_labeled(self, policy: RecoveryPolicy, policy_label: String) -> BatchSummary {
-        let denom = self.completed.max(1) as f64;
+        let m = &self.metrics;
+        let runs = m.runs() as usize;
+        let completed = m.latency.count as usize;
+        let denom = completed.max(1) as f64;
         BatchSummary {
             policy,
             policy_label,
-            runs: self.runs,
-            completed: self.completed,
+            runs,
+            completed,
             disturbed: self.disturbed,
-            rejoins: self.rejoins,
-            mean_latency: self.lat_sum.value() / denom,
-            max_latency: self.lat_max,
-            mean_slowdown: self.slow_sum.value() / denom,
-            mean_failures: self.failures as f64 / (self.runs.max(1)) as f64,
+            rejoins: m.rejoins as usize,
+            mean_latency: m.latency.sum.value() / denom,
+            // The histogram's max is NaN until a run completes.
+            max_latency: if completed == 0 { 0.0 } else { m.latency.max },
+            mean_slowdown: m.slowdown.sum.value() / denom,
+            mean_failures: self.failures as f64 / (runs.max(1)) as f64,
             tasks_recovered: self.tasks_recovered,
-            recovery_replicas: self.recovery_replicas,
-            recovery_messages: self.recovery_messages,
+            recovery_replicas: m.spawned_replicas as usize,
+            recovery_messages: m.recovery_messages as usize,
             checkpoint_overhead: self.checkpoint_overhead.value(),
-            work_saved: self.work_saved.value(),
+            work_saved: m.work_saved.sum.value(),
             metrics: self.metrics,
         }
     }
@@ -831,7 +678,7 @@ fn exp2i(e: i32) -> f64 {
 mod tests {
     use super::*;
     use crate::detection::DetectionModel;
-    use crate::engine::execute;
+    use crate::Executor;
     use ft_algos::{caft, CommModel};
     use ft_graph::gen::{random_layered, RandomDagParams};
     use ft_platform::{random_instance, PlatformParams};
@@ -929,44 +776,15 @@ mod tests {
         let streamed = simulate_many(&inst, &sched, &cfg);
         let m = inst.num_procs();
         let mut acc = BatchAccumulator::new(sched.latency());
+        let mut exec = Executor::new(&inst, &sched, &cfg.engine);
         for i in 0..cfg.runs {
             let scenario = cfg.scenario_of_run(m, i);
-            let out = execute(&inst, &sched, &scenario, &cfg.engine);
-            acc.record(scenario.earliest_crash(), &out);
+            acc.record(scenario.earliest_crash(), exec.run(&scenario));
         }
         let sequential = acc.finish(cfg.engine.policy);
         assert_eq!(
             serde_json::to_string(&streamed).unwrap(),
             serde_json::to_string(&sequential).unwrap()
-        );
-    }
-
-    #[test]
-    fn progress_callback_fires_without_changing_the_summary() {
-        let (inst, sched) = setup();
-        let cfg = MonteCarloConfig {
-            runs: 48,
-            lifetime: LifetimeDist::Exponential {
-                mean: sched.latency() * 2.0,
-            },
-            failure: FailureKind::Permanent,
-            engine: EngineConfig::with_policy(RecoveryPolicy::ReReplicate),
-            seed: 41,
-        };
-        let fired = AtomicUsize::new(0);
-        let with =
-            simulate_many_with_progress(&inst, &sched, &cfg, &cfg.engine.policy, &|p: Progress| {
-                fired.fetch_add(1, Ordering::Relaxed);
-                assert!(p.completed_runs >= 1 && p.completed_runs <= p.total_runs);
-                assert!(p.fraction() > 0.0 && p.fraction() <= 1.0);
-                assert!(p.elapsed >= Duration::ZERO);
-            });
-        assert_eq!(fired.load(Ordering::Relaxed), cfg.runs);
-        let without = simulate_many(&inst, &sched, &cfg);
-        assert_eq!(
-            serde_json::to_string(&with).unwrap(),
-            serde_json::to_string(&without).unwrap(),
-            "the progress channel must not influence the aggregate"
         );
     }
 
@@ -1052,30 +870,39 @@ mod tests {
     #[test]
     fn batch_metrics_are_consistent_with_the_headline_fields() {
         let (inst, sched) = setup();
-        let cfg = MonteCarloConfig {
-            runs: 64,
-            lifetime: LifetimeDist::Exponential {
-                mean: sched.latency(),
-            },
-            failure: FailureKind::Permanent,
-            engine: EngineConfig::with_policy(RecoveryPolicy::ReReplicate),
-            seed: 7,
-        };
-        let s = simulate_many(&inst, &sched, &cfg);
-        let m = &s.metrics;
-        assert_eq!(m.latency.count as usize, s.completed);
-        assert_eq!(m.slowdown.count as usize, s.completed);
-        assert_eq!(m.incomplete_runs as usize, s.runs - s.completed);
-        assert_eq!(m.spawned_replicas as usize, s.recovery_replicas);
-        assert_eq!(m.recovery_messages as usize, s.recovery_messages);
-        assert_eq!(m.rejoins as usize, s.rejoins);
-        // Histogram mean of latency = batch mean (same ExactSum machinery).
-        if s.completed > 0 {
-            assert!((m.latency.mean() - s.mean_latency).abs() < 1e-9);
-            assert!((m.slowdown.mean() - s.mean_slowdown).abs() < 1e-12);
-            assert_eq!(m.latency.max, s.max_latency);
+        // A batch with some crashes, and one in which every processor
+        // dies at once so that no run completes.
+        for mean in [sched.latency(), 1e-9] {
+            let cfg = MonteCarloConfig {
+                runs: 64,
+                lifetime: LifetimeDist::Exponential { mean },
+                failure: FailureKind::Permanent,
+                engine: EngineConfig::with_policy(RecoveryPolicy::ReReplicate),
+                seed: 7,
+            };
+            let s = simulate_many(&inst, &sched, &cfg);
+            let m = &s.metrics;
+            assert_eq!(m.latency.count as usize, s.completed);
+            assert_eq!(m.slowdown.count as usize, s.completed);
+            assert_eq!(m.incomplete_runs as usize, s.runs - s.completed);
+            assert_eq!(m.spawned_replicas as usize, s.recovery_replicas);
+            assert_eq!(m.recovery_messages as usize, s.recovery_messages);
+            assert_eq!(m.rejoins as usize, s.rejoins);
+            // Histogram mean of latency = batch mean (same ExactSum machinery).
+            if s.completed > 0 {
+                assert!((m.latency.mean() - s.mean_latency).abs() < 1e-9);
+                assert!((m.slowdown.mean() - s.mean_slowdown).abs() < 1e-12);
+                assert_eq!(m.latency.max, s.max_latency);
+            } else {
+                // The empty histograms' NaN must not leak into the summary.
+                let json = serde_json::to_string(&s).unwrap();
+                for field in ["mean_latency", "max_latency", "mean_slowdown"] {
+                    assert!(json.contains(&format!("\"{field}\":0,")), "{field}: {json}");
+                }
+            }
+            assert!(m.detections > 0, "the batch should see some crashes");
+            assert_eq!(s.completed == 0, mean < 1.0, "mean {mean}");
         }
-        assert!(m.detections > 0, "the batch should see some crashes");
     }
 
     #[test]

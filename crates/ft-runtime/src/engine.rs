@@ -1,7 +1,9 @@
 //! The online execution engine: timed crashes, detection, recovery.
 //!
-//! [`execute`] runs a static [`FtSchedule`] against a *timed*
-//! [`FaultScenario`]: each listed processor works normally until its crash
+//! `run_into` runs a static [`FtSchedule`] against a *timed*
+//! [`FaultScenario`] — behind [`Simulation`](crate::Simulation) for
+//! one-shot runs and batches and [`Executor`](crate::Executor) for warm
+//! runs: each listed processor works normally until its crash
 //! time and is fail-stop dead afterwards. The engine is an operation-graph
 //! discrete-event simulation in the style of `ft-sim`'s replay (same
 //! inherited FIFO orders, same first-surviving-copy input policy), with
@@ -69,13 +71,13 @@
 //!    byte-for-byte (the availability identity, pinned by
 //!    `tests/timed_model.rs`); see DESIGN.md §6.
 //!
-//! Determinism: `execute` is a pure function of
+//! Determinism: a run is a pure function of
 //! `(instance, schedule, scenario, config)`.
 //!
 //! # Example
 //!
 //! ```
-//! use ft_runtime::{execute, DetectionModel, EngineConfig, RecoveryPolicy};
+//! use ft_runtime::{DetectionModel, RecoveryPolicy, Simulation};
 //! use ft_algos::{caft, CommModel};
 //! use ft_graph::gen::{random_layered, RandomDagParams};
 //! use ft_platform::{random_instance, PlatformParams, ProcId};
@@ -89,12 +91,10 @@
 //! // Crash one processor halfway through; resume its work from
 //! // checkpoints written every 2 time units at 0.05 each.
 //! let scenario = ft_sim::FaultScenario::timed(&[(ProcId(2), sched.latency() * 0.5)]);
-//! let cfg = EngineConfig {
-//!     policy: RecoveryPolicy::checkpoint(2.0, 0.05),
-//!     detection: DetectionModel::uniform(1.0),
-//!     ..EngineConfig::default()
-//! };
-//! let out = execute(&inst, &sched, &scenario, &cfg);
+//! let out = Simulation::of(&inst, &sched)
+//!     .policy(RecoveryPolicy::checkpoint(2.0, 0.05))
+//!     .detection(DetectionModel::uniform(1.0))
+//!     .run(&scenario);
 //! assert_eq!(out.detections, 1);
 //! // Every completed computation paid its checkpoint writes…
 //! assert!(out.checkpoint_overhead > 0.0);
@@ -104,8 +104,7 @@
 
 #[cfg(doc)]
 use crate::detection::DetectionModel;
-use crate::metrics::RunOutcome;
-use crate::observe::{Observer, PhaseProfile, TraceObserver};
+use crate::observe::{Observer, PhaseProfile};
 #[cfg(doc)]
 use crate::policy::{CheckpointPlan, RecoveryPolicy};
 use crate::policy::{EngineConfig, Policy, PolicyEvent, RecoveryAction};
@@ -119,181 +118,15 @@ use ft_platform::{Instance, ProcId};
 use ft_sim::FaultScenario;
 use std::sync::OnceLock;
 
-/// Runs the schedule online under the timed scenario and recovery policy.
-/// Dispatches `cfg.policy` through the open [`Policy`] trait — the same
-/// path [`execute_with`] exposes for custom policies.
-pub fn execute(
-    inst: &Instance,
-    sched: &FtSchedule,
-    scenario: &FaultScenario,
-    cfg: &EngineConfig,
-) -> RunOutcome {
-    execute_with(inst, sched, scenario, cfg, &cfg.policy)
-}
-
-/// [`execute`] with an explicit [`Policy`] implementation: the open half
-/// of the recovery dispatch path. `policy` supersedes `cfg.policy`
-/// (which only matters for serialization); everything else in `cfg`
-/// (detection model, seed) applies as usual. The built-in policies pass
-/// through this exact function, so a custom policy that mirrors a
-/// built-in's actions reproduces its runs byte-for-byte.
-pub fn execute_with(
-    inst: &Instance,
-    sched: &FtSchedule,
-    scenario: &FaultScenario,
-    cfg: &EngineConfig,
-    policy: &dyn Policy,
-) -> RunOutcome {
-    let plan = StaticPlan::without_template(inst, sched, policy);
-    let pool = crate::scratch::global_pool();
-    let mut scratch = pool.take();
-    run_into(
-        inst,
-        sched,
-        scenario,
-        cfg,
-        policy,
-        &plan,
-        &mut scratch,
-        None,
-        None,
-    );
-    let out = std::mem::take(&mut scratch.outcome);
-    pool.put(scratch);
-    out
-}
-
-/// [`execute`], additionally returning the full [`EngineTrace`]: every
-/// operation the engine materialized (static, ghost-failed and recovery
-/// alike) and the event log in processing order. The outcome is
-/// byte-identical to the untraced run — tracing only records, it never
-/// steers. Intended for audits and invariant suites (the
-/// `engine_invariants` property tests pin, among others, that no traced
-/// operation ever overlaps a down window of its processor); per-run cost
-/// is one extra allocation per op, so prefer [`execute`] in hot loops.
-pub fn execute_traced(
-    inst: &Instance,
-    sched: &FtSchedule,
-    scenario: &FaultScenario,
-    cfg: &EngineConfig,
-) -> (RunOutcome, EngineTrace) {
-    execute_traced_with(inst, sched, scenario, cfg, &cfg.policy)
-}
-
-/// [`execute_traced`] with an explicit [`Policy`] implementation (see
-/// [`execute_with`]); the substrate of the custom-policy properties in
-/// the `engine_invariants` suite.
-pub fn execute_traced_with(
-    inst: &Instance,
-    sched: &FtSchedule,
-    scenario: &FaultScenario,
-    cfg: &EngineConfig,
-    policy: &dyn Policy,
-) -> (RunOutcome, EngineTrace) {
-    let mut observer = TraceObserver::new();
-    let out = execute_observed_with(inst, sched, scenario, cfg, policy, &mut observer);
-    (out, observer.into_trace())
-}
-
-/// [`execute`] with a streaming [`Observer`] attached: the engine pushes
-/// every processed event, every materialized operation and the final
-/// outcome into `observer` as they happen (see [`Observer`] for ordering
-/// guarantees). The outcome is byte-identical to the unobserved run —
-/// observers only listen, they never steer. [`execute_traced`] is this
-/// function with a [`TraceObserver`]; a [`crate::NoopObserver`] reproduces
-/// plain [`execute`] at one extra branch per event (both identities pinned
-/// by `tests/timed_model.rs`).
-pub fn execute_observed(
-    inst: &Instance,
-    sched: &FtSchedule,
-    scenario: &FaultScenario,
-    cfg: &EngineConfig,
-    observer: &mut dyn Observer,
-) -> RunOutcome {
-    execute_observed_with(inst, sched, scenario, cfg, &cfg.policy, observer)
-}
-
-/// [`execute_observed`] with an explicit [`Policy`] implementation (see
-/// [`execute_with`]).
-pub fn execute_observed_with(
-    inst: &Instance,
-    sched: &FtSchedule,
-    scenario: &FaultScenario,
-    cfg: &EngineConfig,
-    policy: &dyn Policy,
-    observer: &mut dyn Observer,
-) -> RunOutcome {
-    let plan = StaticPlan::without_template(inst, sched, policy);
-    let pool = crate::scratch::global_pool();
-    let mut scratch = pool.take();
-    run_into(
-        inst,
-        sched,
-        scenario,
-        cfg,
-        policy,
-        &plan,
-        &mut scratch,
-        Some(observer),
-        None,
-    );
-    let out = std::mem::take(&mut scratch.outcome);
-    pool.put(scratch);
-    out
-}
-
-/// [`execute`], additionally collecting a [`PhaseProfile`]: wall-clock
-/// attribution of the run across the engine's hot-loop phases. The
-/// timers are compiled in only under the `phase-profile` cargo feature —
-/// without it this still runs (and the outcome is identical) but every
-/// phase aggregate stays zero. The outcome is byte-identical to
-/// [`execute`] in both configurations; profiling only measures.
-pub fn execute_profiled(
-    inst: &Instance,
-    sched: &FtSchedule,
-    scenario: &FaultScenario,
-    cfg: &EngineConfig,
-) -> (RunOutcome, PhaseProfile) {
-    execute_profiled_with(inst, sched, scenario, cfg, &cfg.policy)
-}
-
-/// [`execute_profiled`] with an explicit [`Policy`] implementation (see
-/// [`execute_with`]).
-pub fn execute_profiled_with(
-    inst: &Instance,
-    sched: &FtSchedule,
-    scenario: &FaultScenario,
-    cfg: &EngineConfig,
-    policy: &dyn Policy,
-) -> (RunOutcome, PhaseProfile) {
-    let mut profile = PhaseProfile::new();
-    let plan = StaticPlan::without_template(inst, sched, policy);
-    let pool = crate::scratch::global_pool();
-    let mut scratch = pool.take();
-    run_into(
-        inst,
-        sched,
-        scenario,
-        cfg,
-        policy,
-        &plan,
-        &mut scratch,
-        None,
-        Some(&mut profile),
-    );
-    let out = std::mem::take(&mut scratch.outcome);
-    pool.put(scratch);
-    (out, profile)
-}
-
 /// Runs one scenario through the reusable `scratch` arena, leaving the
 /// outcome in `scratch.outcome` — the single execution path every entry
-/// point (one-shot, observed, profiled, batch, grid, [`Executor`]) goes
+/// point ([`Simulation`] runs and batches, grids, [`Executor`]) goes
 /// through. With a warm arena and a templated plan this performs zero
 /// heap allocations on failure-free scenarios; the result is
 /// byte-identical either way.
 ///
 /// [`Executor`]: crate::Executor
+/// [`Simulation`]: crate::Simulation
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_into<'a>(
     inst: &'a Instance,
@@ -528,8 +361,9 @@ pub struct OpTrace {
     pub ck_pad: f64,
 }
 
-/// Observability record of one [`execute_traced`] run: the materialized
-/// operations and the processed events in order. Event times are monotone
+/// Observability record of one run traced by a
+/// [`TraceObserver`](crate::TraceObserver): the materialized operations
+/// and the processed events in order. Event times are monotone
 /// non-decreasing — one of the engine invariants the property suite pins.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct EngineTrace {
@@ -930,8 +764,9 @@ struct Engine<'a> {
     /// it is already `Done`, `Failed`, `GhostDone` or `Cancelled`, so the
     /// next replan only scans the ops created since.
     replan_floor: usize,
-    /// Phase timers, attached by [`execute_profiled`]; only read with the
-    /// `phase-profile` feature. (`PhaseProfile` is a concrete type, so
+    /// Phase timers, attached by
+    /// [`Simulation::run_with`](crate::Simulation::run_with); only read
+    /// with the `phase-profile` feature. (`PhaseProfile` is a concrete type, so
     /// this keeps `Engine<'a>` covariant — a `&mut dyn` observer field
     /// would not, which is why the observer travels through
     /// [`Engine::run`] as an argument instead.)
@@ -2607,12 +2442,44 @@ mod tests {
     use super::*;
     use crate::detection::DetectionModel;
     use crate::policy::RecoveryPolicy;
+    use crate::{RunOutcome, Simulation, TraceObserver};
     use ft_algos::{caft, ftsa, CommModel};
     use ft_graph::gen::{random_layered, RandomDagParams};
     use ft_platform::PlatformParams;
     use ft_sim::{replay, ReplayOutcome};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The builder form of a literal config.
+    fn sim<'a>(inst: &'a Instance, sched: &'a FtSchedule, cfg: &EngineConfig) -> Simulation<'a> {
+        Simulation::of(inst, sched)
+            .policy(cfg.policy)
+            .detection(cfg.detection.clone())
+            .seed(cfg.seed)
+            .contention(cfg.contention)
+    }
+
+    /// One template-free run, as [`Simulation::run`] executes it.
+    fn one_shot(
+        inst: &Instance,
+        sched: &FtSchedule,
+        scenario: &FaultScenario,
+        cfg: &EngineConfig,
+    ) -> RunOutcome {
+        sim(inst, sched, cfg).run(scenario)
+    }
+
+    /// [`one_shot`] with a [`TraceObserver`] attached.
+    fn traced(
+        inst: &Instance,
+        sched: &FtSchedule,
+        scenario: &FaultScenario,
+        cfg: &EngineConfig,
+    ) -> (RunOutcome, EngineTrace) {
+        let mut tracer = TraceObserver::new();
+        let out = sim(inst, sched, cfg).run_with(scenario, Some(&mut tracer), None);
+        (out, tracer.into_trace())
+    }
 
     fn setup(seed: u64, tasks: usize, gran: f64) -> Instance {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -2646,7 +2513,7 @@ mod tests {
             let inst = setup(seed, 40, 1.0);
             for eps in [0usize, 1, 2] {
                 let sched = caft(&inst, eps, CommModel::OnePort, seed);
-                let out = execute(
+                let out = one_shot(
                     &inst,
                     &sched,
                     &FaultScenario::none(),
@@ -2665,7 +2532,7 @@ mod tests {
         let after = sched.full_makespan();
         let scenario = FaultScenario::timed(&[(ProcId(0), after), (ProcId(3), after + 5.0)]);
         for policy in RecoveryPolicy::ALL {
-            let out = execute(&inst, &sched, &scenario, &EngineConfig::with_policy(policy));
+            let out = one_shot(&inst, &sched, &scenario, &EngineConfig::with_policy(policy));
             let rep = replay(&inst, &sched, &FaultScenario::none());
             assert_matches_replay(&out, &rep);
             assert_eq!(out.detections, 2);
@@ -2681,7 +2548,7 @@ mod tests {
                 let sched = algo(&inst, eps, CommModel::OnePort, seed);
                 for p in inst.platform.procs() {
                     let scenario = FaultScenario::procs(&[p]);
-                    let out = execute(
+                    let out = one_shot(
                         &inst,
                         &sched,
                         &scenario,
@@ -2703,7 +2570,7 @@ mod tests {
         let nominal = sched.latency();
         for p in inst.platform.procs() {
             let scenario = FaultScenario::timed(&[(p, nominal * 0.4)]);
-            let out = execute(
+            let out = one_shot(
                 &inst,
                 &sched,
                 &scenario,
@@ -2724,7 +2591,7 @@ mod tests {
         let mut last_completed = false;
         for frac in [0.0, 0.3, 0.6, 0.9, 1.2] {
             let scenario = FaultScenario::timed(&[(p, nominal * frac)]);
-            let out = execute(
+            let out = one_shot(
                 &inst,
                 &sched,
                 &scenario,
@@ -2761,7 +2628,7 @@ mod tests {
                     seed: 0,
                     ..EngineConfig::default()
                 };
-                let out = execute(&inst, &sched, &scenario, &cfg);
+                let out = one_shot(&inst, &sched, &scenario, &cfg);
                 assert!(
                     out.completed(),
                     "reschedule failed to repair crash of {p} at {crash_at}"
@@ -2781,7 +2648,7 @@ mod tests {
         let nominal = sched.latency();
         let scenario =
             FaultScenario::timed(&[(ProcId(0), nominal * 0.1), (ProcId(1), nominal * 0.2)]);
-        let absorb = execute(
+        let absorb = one_shot(
             &inst,
             &sched,
             &scenario,
@@ -2792,7 +2659,7 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let rerep = execute(
+        let rerep = one_shot(
             &inst,
             &sched,
             &scenario,
@@ -2841,14 +2708,14 @@ mod tests {
             seed: 0,
             ..EngineConfig::default()
         };
-        let out = execute(&inst, &sched, &scenario, &cfg);
+        let out = one_shot(&inst, &sched, &scenario, &cfg);
         assert!(
             out.completed(),
             "deferred spawns must be retried once survivors become eligible"
         );
         assert!(out.recovery_replicas > 0);
         // Deterministic, like every engine entry point.
-        let again = execute(&inst, &sched, &scenario, &cfg);
+        let again = one_shot(&inst, &sched, &scenario, &cfg);
         assert_eq!(
             serde_json::to_string(&out).unwrap(),
             serde_json::to_string(&again).unwrap()
@@ -2874,7 +2741,7 @@ mod tests {
             seed: 0,
             ..EngineConfig::default()
         };
-        let out = execute(&inst, &sched, &scenario, &cfg);
+        let out = one_shot(&inst, &sched, &scenario, &cfg);
         // Three detection events fire: crash 1 via the dead fast monitor
         // (replans onto the not-yet-known-dead ProcId(0) — knowledge
         // honesty), crash 0 via the slow monitors (no survivor has
@@ -2897,7 +2764,7 @@ mod tests {
         let scenario =
             FaultScenario::timed(&[(ProcId(0), nominal * 0.2), (ProcId(4), nominal * 0.35)]);
         let run = |delta: f64| {
-            execute(
+            one_shot(
                 &inst,
                 &sched,
                 &scenario,
@@ -2934,8 +2801,8 @@ mod tests {
                 seed: 4,
                 ..EngineConfig::default()
             };
-            let a = execute(&inst, &sched, &scenario, &cfg);
-            let b = execute(&inst, &sched, &scenario, &cfg);
+            let a = one_shot(&inst, &sched, &scenario, &cfg);
+            let b = one_shot(&inst, &sched, &scenario, &cfg);
             assert_eq!(
                 serde_json::to_string(&a).unwrap(),
                 serde_json::to_string(&b).unwrap(),
@@ -2977,13 +2844,13 @@ mod tests {
                 seed: 0,
                 ..EngineConfig::default()
             };
-            let ck = execute(
+            let ck = one_shot(
                 &inst,
                 &sched,
                 &scenario,
                 &mk(RecoveryPolicy::checkpoint(f64::INFINITY, 0.7)),
             );
-            let rr = execute(&inst, &sched, &scenario, &mk(RecoveryPolicy::ReReplicate));
+            let rr = one_shot(&inst, &sched, &scenario, &mk(RecoveryPolicy::ReReplicate));
             assert_eq!(
                 serde_json::to_string(&ck).unwrap(),
                 serde_json::to_string(&rr).unwrap(),
@@ -3005,7 +2872,7 @@ mod tests {
         let interval = inst.mean_task_cost() * 0.25;
         let scenario =
             FaultScenario::timed(&[(ProcId(0), nominal * 0.3), (ProcId(1), nominal * 0.4)]);
-        let out = execute(
+        let out = one_shot(
             &inst,
             &sched,
             &scenario,
@@ -3030,7 +2897,7 @@ mod tests {
         let sched = ftsa(&inst, 1, CommModel::OnePort, 4);
         let after = sched.full_makespan();
         let scenario = FaultScenario::timed(&[(ProcId(0), after), (ProcId(3), after + 5.0)]);
-        let out = execute(
+        let out = one_shot(
             &inst,
             &sched,
             &scenario,
@@ -3049,7 +2916,7 @@ mod tests {
         let inst = setup(4, 35, 0.7);
         let sched = ftsa(&inst, 1, CommModel::OnePort, 4);
         let run = |ov: f64| {
-            execute(
+            one_shot(
                 &inst,
                 &sched,
                 &FaultScenario::none(),
@@ -3095,7 +2962,7 @@ mod tests {
                 seed: 0,
                 ..EngineConfig::default()
             };
-            let out = execute(&inst, &sched, &scenario, &cfg);
+            let out = one_shot(&inst, &sched, &scenario, &cfg);
             assert_eq!(out.detections, 1, "the lone crash must be detected");
             assert!(!out.completed());
             assert!(out.unrecoverable > 0, "lost tasks must be flagged");
@@ -3110,7 +2977,7 @@ mod tests {
             seed: 0,
             ..EngineConfig::default()
         };
-        let out = execute(&inst, &sched, &scenario, &gossip);
+        let out = one_shot(&inst, &sched, &scenario, &gossip);
         assert_eq!(out.detections, 0, "no observer, no rumor, no detection");
     }
 
@@ -3134,8 +3001,8 @@ mod tests {
                 seed: 0,
                 ..EngineConfig::default()
             };
-            let perm = execute(&inst, &sched, &FaultScenario::timed(&crashes), &cfg);
-            let tra = execute(&inst, &sched, &FaultScenario::transient(&transient), &cfg);
+            let perm = one_shot(&inst, &sched, &FaultScenario::timed(&crashes), &cfg);
+            let tra = one_shot(&inst, &sched, &FaultScenario::transient(&transient), &cfg);
             assert_eq!(
                 serde_json::to_string(&perm).unwrap(),
                 serde_json::to_string(&tra).unwrap(),
@@ -3169,14 +3036,14 @@ mod tests {
             seed: 0,
             ..EngineConfig::default()
         };
-        let perm = execute(
+        let perm = one_shot(
             &inst,
             &sched,
             &FaultScenario::timed(&[(ProcId(0), crash)]),
             &cfg,
         );
         assert!(!perm.completed(), "no reboot, no second chance");
-        let tra = execute(
+        let tra = one_shot(
             &inst,
             &sched,
             &FaultScenario::transient(&[(ProcId(0), crash, 2.0)]),
@@ -3190,7 +3057,7 @@ mod tests {
         assert!(tra.recovery_replicas > 0);
         assert!(tra.tasks_recovered() > 0);
         // Deterministic, like every engine entry point.
-        let again = execute(
+        let again = one_shot(
             &inst,
             &sched,
             &FaultScenario::transient(&[(ProcId(0), crash, 2.0)]),
@@ -3221,7 +3088,7 @@ mod tests {
                 seed: 0,
                 ..EngineConfig::default()
             };
-            let out = execute(&inst, &sched, &scenario, &cfg);
+            let out = one_shot(&inst, &sched, &scenario, &cfg);
             assert_eq!(out.detections, 2, "{policy}: both epochs detected");
             assert_eq!(out.rejoins, 1, "{policy}: one reboot known");
             assert_eq!(out.num_failures, 1, "one distinct processor failed");
@@ -3261,7 +3128,7 @@ mod tests {
             seed: 0,
             ..EngineConfig::default()
         };
-        let (out, trace) = execute_traced(&inst, &sched, &scenario, &cfg);
+        let (out, trace) = traced(&inst, &sched, &scenario, &cfg);
         assert_eq!(out.detections, 2);
         assert_eq!(out.rejoins, 1);
         for (i, op) in trace.ops.iter().enumerate() {
@@ -3289,8 +3156,8 @@ mod tests {
             seed: 0,
             ..EngineConfig::default()
         };
-        let plain = execute(&inst, &sched, &scenario, &cfg);
-        let (traced, trace) = execute_traced(&inst, &sched, &scenario, &cfg);
+        let plain = one_shot(&inst, &sched, &scenario, &cfg);
+        let (traced, trace) = traced(&inst, &sched, &scenario, &cfg);
         assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&traced).unwrap(),
@@ -3332,15 +3199,15 @@ mod tests {
         let crashes: Vec<(ProcId, f64)> = inst.platform.procs().map(|p| (p, 0.0)).collect();
         let scenario = FaultScenario::timed(&crashes);
         for policy in RecoveryPolicy::ALL {
-            let out = execute(&inst, &sched, &scenario, &EngineConfig::with_policy(policy));
+            let out = one_shot(&inst, &sched, &scenario, &EngineConfig::with_policy(policy));
             assert!(!out.completed(), "{policy}: no processors, no progress");
             assert_eq!(out.latency(), None);
         }
     }
 
     /// A persistent [`Executor`](crate::Executor) run — warm arena, op
-    /// template, indexed event queue — must reproduce the one-shot
-    /// [`execute`] byte-for-byte on every scenario class: failure-free
+    /// template, indexed event queue — must reproduce the template-free
+    /// one-shot [`Simulation::run`] byte-for-byte on every scenario class: failure-free
     /// (template fast path), mid-run crashes (template + availability
     /// events), crashes at `t = 0` (legacy-build fallback inside a warm
     /// executor), and everything interleaved through one arena so state
@@ -3371,7 +3238,7 @@ mod tests {
                 for (i, scenario) in scenarios.iter().enumerate() {
                     let warm = serde_json::to_string(exec.run(scenario)).unwrap();
                     let cold =
-                        serde_json::to_string(&execute(&inst, &sched, scenario, &cfg)).unwrap();
+                        serde_json::to_string(&one_shot(&inst, &sched, scenario, &cfg)).unwrap();
                     assert_eq!(warm, cold, "{policy}: scenario {i}, pass {pass}");
                 }
             }

@@ -1,18 +1,16 @@
 //! Streaming observability: per-event engine observers and phase profiling.
 //!
-//! The online engine of [`crate::engine`] used to offer exactly two run
-//! modes: blind ([`crate::execute`]) or an all-or-nothing in-memory trace
-//! ([`crate::execute_traced`]).  This module generalizes both into a
-//! streaming [`Observer`] interface: the engine pushes every processed
+//! The online engine of [`crate::engine`] streams its activity into an
+//! optional [`Observer`] attached through
+//! [`Simulation::run_with`](crate::Simulation::run_with): the engine pushes every processed
 //! event ([`Observer::on_event`]), every materialized operation
 //! ([`Observer::on_op`]) and the final outcome ([`Observer::on_run_end`])
 //! into an observer as they happen, so consumers can aggregate, filter or
 //! export at Monte-Carlo scale without buffering whole traces.
 //!
-//! Two built-in observers cover the old modes: [`NoopObserver`] (costs one
-//! predictable branch per event) and [`TraceObserver`], which rebuilds an
-//! [`EngineTrace`] byte-for-byte identical to what `execute_traced`
-//! returned before the refactor — an identity pinned by the test suite.
+//! Two built-in observers cover the common cases: [`NoopObserver`] (costs
+//! one predictable branch per event) and [`TraceObserver`], which buffers
+//! the whole run into an [`EngineTrace`].
 //! The `ft-obs` crate adds a `JsonlSink` observer that streams structured
 //! JSONL records for offline analysis.
 //!
@@ -29,7 +27,8 @@
 //! [`PhaseProfile`] aggregates per-[`Phase`] wall-clock timers over the
 //! engine's hot loop.  The timers are compiled in only under the
 //! `phase-profile` cargo feature so the default build keeps the untraced
-//! fast path; the types (and [`crate::execute_profiled`]) exist
+//! fast path; the types (and the profile argument of
+//! [`Simulation::run_with`](crate::Simulation::run_with)) exist
 //! unconditionally, the profile simply stays empty without the feature.
 
 use crate::engine::{EngineTrace, OpTrace, TraceEvent};
@@ -71,8 +70,8 @@ pub trait Observer {
 /// The do-nothing observer: every hook keeps its empty default body.
 ///
 /// Attaching it costs one predictable branch per event over the untraced
-/// fast path, and the produced [`RunOutcome`] is byte-identical to
-/// [`crate::execute`] (pinned by `tests/timed_model.rs`).
+/// fast path, and the produced [`RunOutcome`] is byte-identical to an
+/// unobserved run (pinned by `tests/timed_model.rs`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NoopObserver;
 
@@ -80,9 +79,8 @@ impl Observer for NoopObserver {}
 
 /// An observer that buffers the full run into an [`EngineTrace`].
 ///
-/// This is the pre-observer `execute_traced` behaviour re-expressed as an
-/// observer; [`crate::execute_traced`] is now a thin wrapper over it and
-/// the equivalence is pinned byte-for-byte by `tests/timed_model.rs`.
+/// The substrate of the `engine_invariants` property suite; attaching it
+/// never changes the outcome (pinned by `tests/timed_model.rs`).
 #[derive(Clone, Debug, Default)]
 pub struct TraceObserver {
     ops: Vec<OpTrace>,
@@ -181,7 +179,8 @@ pub struct PhaseStat {
 
 /// Wall-clock attribution of an engine run across [`Phase`]s.
 ///
-/// Collected by [`crate::execute_profiled`]; without the `phase-profile`
+/// Collected by [`Simulation::run_with`](crate::Simulation::run_with);
+/// without the `phase-profile`
 /// cargo feature the timers compile out and every entry stays zero.
 /// Serializes to the JSON exported by `ft-bench`'s profile case and the
 /// `BENCH_phases.json` baseline.

@@ -1,11 +1,11 @@
 //! The zero-allocation event core: reusable run arenas and pre-resolved
 //! static plans (DESIGN.md §15).
 //!
-//! Historically every [`execute`](crate::execute) call allocated its
-//! whole world from scratch: the op arena, one `Vec` wall per dependency
-//! list, a fresh `BinaryHeap` for the event queue, and per-task
-//! checkpoint plans re-queried from the policy — roughly a hundred heap
-//! allocations per run, paid 10⁶ times per Monte-Carlo batch. This
+//! Historically every one-shot run allocated its whole world from
+//! scratch: the op arena, one `Vec` wall per dependency list, a fresh
+//! `BinaryHeap` for the event queue, and per-task checkpoint plans
+//! re-queried from the policy — roughly a hundred heap allocations per
+//! run, paid 10⁶ times per Monte-Carlo batch. This
 //! module splits that cost into three reusable pieces:
 //!
 //! * [`StaticPlan`] — everything that depends only on `(instance,
@@ -36,8 +36,8 @@
 //! possible steady-state surface: construct once, call
 //! [`run`](Executor::run) per scenario. Every path through this module
 //! returns outcomes **byte-identical** to the one-shot
-//! [`execute`](crate::execute) — the fast path only re-uses memory and
-//! skips redundant construction, it never changes an event order (the
+//! [`Simulation::run`](crate::Simulation::run) — the fast path only
+//! re-uses memory and skips redundant construction, it never changes an event order (the
 //! event-queue keys are all distinct, so *any* correct min-heap pops
 //! them in the same ascending order).
 
@@ -174,8 +174,8 @@ impl StaticPlan {
     }
 
     /// Plans and topological order only — the one-shot
-    /// [`execute`](crate::execute) form, which pays the legacy build
-    /// once anyway and would gain nothing from a template.
+    /// [`Simulation::run`](crate::Simulation::run) form, which pays the
+    /// legacy build once anyway and would gain nothing from a template.
     pub(crate) fn without_template(
         inst: &Instance,
         sched: &FtSchedule,
@@ -184,7 +184,7 @@ impl StaticPlan {
         let v = inst.num_tasks();
         // One checkpoint_plan query per task, validated here so a
         // misbehaving plan fails loudly before any op is built (the same
-        // checks the pre-redesign engine ran per execute call).
+        // checks the pre-redesign engine ran per run).
         let plans: Vec<Option<(f64, f64)>> = (0..v)
             .map(|t| {
                 let info = TaskInfo::new(inst, TaskId::from_index(t));
@@ -326,9 +326,9 @@ pub struct ScratchPool {
     pool: Mutex<Vec<Box<EngineScratch>>>,
 }
 
-/// The process-wide arena pool behind the one-shot entry points
-/// ([`execute`](crate::execute) and friends): the first call pays the
-/// cold-arena construction, every later one-shot call of any shape
+/// The process-wide arena pool behind one-shot
+/// [`Simulation::run`](crate::Simulation::run) calls: the first call
+/// pays the cold-arena construction, every later one-shot call of any shape
 /// starts from a warm arena. Outcomes are byte-identical either way —
 /// the arena only recycles capacity, never state (every buffer is reset
 /// in `Engine::from_parts`).
@@ -363,8 +363,8 @@ impl ScratchPool {
 
 /// A persistent single-thread executor: one [`StaticPlan`] plus one warm
 /// [`EngineScratch`] behind a `run(scenario)` call. The steady-state
-/// form of [`execute`](crate::execute) — byte-identical outcomes, none
-/// of the per-run construction.
+/// form of [`Simulation::run`](crate::Simulation::run) — byte-identical
+/// outcomes, none of the per-run construction.
 ///
 /// # Example
 ///
@@ -409,7 +409,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Runs one scenario through the warm arena; the returned outcome is
-    /// byte-identical to `execute(inst, sched, scenario, cfg)` and valid
+    /// byte-identical to a one-shot
+    /// [`Simulation::run`](crate::Simulation::run) of `cfg` and valid
     /// until the next `run` call.
     pub fn run(&mut self, scenario: &FaultScenario) -> &RunOutcome {
         run_into(

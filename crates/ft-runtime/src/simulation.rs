@@ -1,22 +1,19 @@
 //! The runtime's front door: a fluent [`Simulation`] builder.
 //!
-//! The historical surface — positional [`execute`] /
-//! [`simulate_many`](crate::simulate_many()) calls over an
-//! [`EngineConfig`] and a [`MonteCarloConfig`]
-//! with **two** seed fields — stays available as thin wrappers, but new
-//! code reads better through the builder:
+//! One-shot runs and Monte-Carlo batches go through the builder; warm
+//! repeated runs of one configuration go through
+//! [`Executor`](crate::Executor). Both share one execution path, so
+//! their outcomes are byte-identical.
 //!
 //! ```text
-//! old                                            new
-//! ─────────────────────────────────────────────  ───────────────────────
-//! execute(&inst, &sched, &scenario,              Simulation::of(&inst, &sched)
-//!     &EngineConfig { policy, detection_latency,     .policy(policy)
-//!                     seed })                        .detection(DetectionModel::uniform(δ))
-//!                                                    .seed(seed)
-//!                                                    .run(&scenario)
-//! simulate_many(&inst, &sched,                   Simulation::of(&inst, &sched)
-//!     &MonteCarloConfig { runs, lifetime,            .policy(policy).seed(seed)
-//!         engine, seed: other_seed })                .monte_carlo(runs, lifetime)
+//! Simulation::of(&inst, &sched)        // Absorb, uniform detection δ = 1, seed 0
+//!     .policy(policy)                  // or .policy_impl(Arc<dyn Policy>)
+//!     .detection(DetectionModel::uniform(δ))
+//!     .seed(seed)
+//!
+//! sim.run(&scenario)                                             // one run
+//! sim.run_with(&scenario, Some(&mut observer), Some(&mut profile)) // observed, profiled
+//! sim.monte_carlo(runs, lifetime)                                // a batch
 //! ```
 //!
 //! ## One seed stream
@@ -63,17 +60,14 @@
 //! assert_eq!(batch.runs, 200);
 //! ```
 
-use crate::batch::{
-    simulate_many, simulate_many_with, simulate_many_with_progress, MonteCarloConfig, Progress,
-};
+use crate::batch::{ChunkedBatch, MonteCarloConfig};
 use crate::detection::DetectionModel;
-use crate::engine::{
-    execute, execute_observed_with, execute_profiled, execute_profiled_with, execute_with,
-};
+use crate::engine::run_into;
 use crate::lifetime::{FailureKind, LifetimeDist};
 use crate::metrics::{BatchSummary, RunOutcome};
 use crate::observe::{Observer, PhaseProfile};
 use crate::policy::{EngineConfig, Policy, RecoveryPolicy};
+use crate::scratch::{global_pool, StaticPlan};
 use ft_model::FtSchedule;
 use ft_net::Contention;
 use ft_platform::Instance;
@@ -146,9 +140,15 @@ impl<'a> Simulation<'a> {
     /// [`Policy::label`] of the custom implementation when one is set,
     /// the built-in's label otherwise.
     pub fn policy_label(&self) -> String {
+        self.dispatch().label()
+    }
+
+    /// The policy that actually dispatches: the custom implementation
+    /// when one is set, the built-in otherwise.
+    fn dispatch(&self) -> &dyn Policy {
         match &self.custom {
-            Some(p) => p.label(),
-            None => self.cfg.policy.label(),
+            Some(p) => p.as_ref(),
+            None => &self.cfg.policy,
         }
     }
 
@@ -198,13 +198,48 @@ impl<'a> Simulation<'a> {
     }
 
     /// Executes the schedule once against an explicit timed scenario.
-    /// Equivalent to [`execute`]`(inst, sched, scenario, self.config())`
-    /// — or to [`execute_with`] when a custom policy is attached.
+    /// Equivalent to [`run_with`](Simulation::run_with) with neither an
+    /// observer nor a profile attached.
     pub fn run(&self, scenario: &FaultScenario) -> RunOutcome {
-        match &self.custom {
-            Some(p) => execute_with(self.inst, self.sched, scenario, &self.cfg, p.as_ref()),
-            None => execute(self.inst, self.sched, scenario, &self.cfg),
-        }
+        self.run_with(scenario, None, None)
+    }
+
+    /// Executes the schedule once against an explicit timed scenario,
+    /// optionally streaming every event, op and the outcome into an
+    /// [`Observer`] (see its docs for the ordering contract) and
+    /// collecting a [`PhaseProfile`] of the engine's hot-loop phases.
+    /// The profile's timers are compiled in only under the
+    /// `phase-profile` cargo feature; without it the profile stays zero.
+    /// Observers and profiles only listen: the outcome is byte-identical
+    /// to [`run`](Simulation::run) (pinned by `tests/timed_model.rs`).
+    ///
+    /// A one-shot run builds a template-free [`StaticPlan`] and borrows
+    /// a warm arena from a process-wide pool; for many runs of one
+    /// configuration, [`Executor`](crate::Executor) keeps both.
+    pub fn run_with(
+        &self,
+        scenario: &FaultScenario,
+        observer: Option<&mut dyn Observer>,
+        profile: Option<&mut PhaseProfile>,
+    ) -> RunOutcome {
+        let policy = self.dispatch();
+        let plan = StaticPlan::without_template(self.inst, self.sched, policy);
+        let pool = global_pool();
+        let mut scratch = pool.take();
+        run_into(
+            self.inst,
+            self.sched,
+            scenario,
+            &self.cfg,
+            policy,
+            &plan,
+            &mut scratch,
+            observer,
+            profile,
+        );
+        let out = std::mem::take(&mut scratch.outcome);
+        pool.put(scratch);
+        out
     }
 
     /// Runs a deterministic Monte-Carlo batch: `runs` independent
@@ -220,93 +255,7 @@ impl<'a> Simulation<'a> {
             engine: self.cfg.clone(),
             seed: self.cfg.seed,
         };
-        match &self.custom {
-            Some(p) => simulate_many_with(self.inst, self.sched, &cfg, p.as_ref()),
-            None => simulate_many(self.inst, self.sched, &cfg),
-        }
-    }
-
-    /// [`monte_carlo`](Simulation::monte_carlo) with a streaming progress
-    /// callback: fires once per finished run with a [`Progress`] snapshot
-    /// (runs completed, elapsed, ETA). The callback sees completions in
-    /// worker-finish order but cannot steer the aggregation, so the
-    /// summary is byte-identical to [`monte_carlo`](Simulation::monte_carlo).
-    pub fn monte_carlo_with_progress(
-        &self,
-        runs: usize,
-        lifetime: LifetimeDist,
-        progress: &(dyn Fn(Progress) + Sync),
-    ) -> BatchSummary {
-        let cfg = MonteCarloConfig {
-            runs,
-            lifetime,
-            failure: self.failure.clone(),
-            engine: self.cfg.clone(),
-            seed: self.cfg.seed,
-        };
-        let policy: &dyn Policy = match &self.custom {
-            Some(p) => p.as_ref(),
-            None => &cfg.engine.policy,
-        };
-        simulate_many_with_progress(self.inst, self.sched, &cfg, policy, progress)
-    }
-
-    /// Attaches a streaming [`Observer`] to this simulation: the returned
-    /// handle's [`run`](ObservedSimulation::run) pushes every event, op
-    /// and outcome into the observer (see [`Observer`] for the ordering
-    /// contract) while producing an outcome byte-identical to
-    /// [`run`](Simulation::run). The builder itself is unchanged and can
-    /// keep driving unobserved runs.
-    pub fn observe<'o>(&self, observer: &'o mut dyn Observer) -> ObservedSimulation<'a, 'o> {
-        ObservedSimulation {
-            sim: self.clone(),
-            observer,
-        }
-    }
-
-    /// [`run`](Simulation::run), additionally collecting a
-    /// [`PhaseProfile`]: wall-clock attribution across the engine's
-    /// hot-loop phases. Meaningful numbers require the `phase-profile`
-    /// cargo feature — without it the run still executes identically but
-    /// the profile stays zero.
-    pub fn run_profiled(&self, scenario: &FaultScenario) -> (RunOutcome, PhaseProfile) {
-        match &self.custom {
-            Some(p) => {
-                execute_profiled_with(self.inst, self.sched, scenario, &self.cfg, p.as_ref())
-            }
-            None => execute_profiled(self.inst, self.sched, scenario, &self.cfg),
-        }
-    }
-}
-
-/// A [`Simulation`] with a streaming [`Observer`] attached (built by
-/// [`Simulation::observe`]). Holds the observer mutably for its lifetime;
-/// drop it (or let it fall out of scope) to get the observer's buffers
-/// back.
-pub struct ObservedSimulation<'a, 'o> {
-    sim: Simulation<'a>,
-    observer: &'o mut dyn Observer,
-}
-
-impl ObservedSimulation<'_, '_> {
-    /// Executes the schedule once against an explicit timed scenario,
-    /// streaming into the attached observer. The outcome is byte-identical
-    /// to the unobserved [`Simulation::run`] (pinned by
-    /// `tests/timed_model.rs`).
-    pub fn run(&mut self, scenario: &FaultScenario) -> RunOutcome {
-        let sim = &self.sim;
-        let policy: &dyn Policy = match &sim.custom {
-            Some(p) => p.as_ref(),
-            None => &sim.cfg.policy,
-        };
-        execute_observed_with(
-            sim.inst,
-            sim.sched,
-            scenario,
-            &sim.cfg,
-            policy,
-            &mut *self.observer,
-        )
+        ChunkedBatch::new(self.inst, self.sched, &cfg, self.dispatch()).finish()
     }
 }
 
@@ -328,23 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_run_equals_execute() {
-        let (inst, sched) = setup();
-        let scenario = FaultScenario::timed(&[(ProcId(1), sched.latency() * 0.4)]);
-        let sim = Simulation::of(&inst, &sched)
-            .policy(RecoveryPolicy::ReReplicate)
-            .detection(DetectionModel::uniform(0.5))
-            .seed(11);
-        let via_builder = sim.run(&scenario);
-        let via_positional = execute(&inst, &sched, &scenario, sim.config());
-        assert_eq!(
-            serde_json::to_string(&via_builder).unwrap(),
-            serde_json::to_string(&via_positional).unwrap()
-        );
-    }
-
-    #[test]
-    fn builder_monte_carlo_equals_simulate_many_with_unified_seed() {
+    fn builder_monte_carlo_matches_simulate_many_under_one_seed() {
         let (inst, sched) = setup();
         let sim = Simulation::of(&inst, &sched)
             .policy(RecoveryPolicy::Reschedule)
@@ -355,7 +288,7 @@ mod tests {
                 mean: sched.latency() * 2.0,
             },
         );
-        let legacy = simulate_many(
+        let legacy = crate::simulate_many(
             &inst,
             &sched,
             &MonteCarloConfig {
@@ -397,7 +330,7 @@ mod tests {
             .detection(DetectionModel::uniform(0.5))
             .seed(4);
         let mut tracer = crate::TraceObserver::new();
-        let observed = sim.observe(&mut tracer).run(&scenario);
+        let observed = sim.run_with(&scenario, Some(&mut tracer), None);
         let plain = sim.run(&scenario);
         assert_eq!(
             serde_json::to_string(&observed).unwrap(),
@@ -412,7 +345,8 @@ mod tests {
         let (inst, sched) = setup();
         let scenario = FaultScenario::timed(&[(ProcId(0), sched.latency() * 0.5)]);
         let sim = Simulation::of(&inst, &sched).policy(RecoveryPolicy::Reschedule);
-        let (out, profile) = sim.run_profiled(&scenario);
+        let mut profile = PhaseProfile::new();
+        let out = sim.run_with(&scenario, None, Some(&mut profile));
         let plain = sim.run(&scenario);
         assert_eq!(
             serde_json::to_string(&out).unwrap(),
@@ -426,27 +360,6 @@ mod tests {
         } else {
             assert_eq!(profile.total_nanos(), 0);
         }
-    }
-
-    #[test]
-    fn monte_carlo_progress_matches_monte_carlo() {
-        let (inst, sched) = setup();
-        let sim = Simulation::of(&inst, &sched)
-            .policy(RecoveryPolicy::ReReplicate)
-            .seed(17);
-        let lifetime = LifetimeDist::Exponential {
-            mean: sched.latency() * 2.0,
-        };
-        let fired = std::sync::atomic::AtomicUsize::new(0);
-        let with = sim.monte_carlo_with_progress(32, lifetime.clone(), &|_p| {
-            fired.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        });
-        assert_eq!(fired.load(std::sync::atomic::Ordering::Relaxed), 32);
-        let plain = sim.monte_carlo(32, lifetime);
-        assert_eq!(
-            serde_json::to_string(&with).unwrap(),
-            serde_json::to_string(&plain).unwrap()
-        );
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl JobSpec {
         if let Some(iv) = g
             .checkpoint_intervals
             .iter()
-            .find(|iv| !(**iv > 0.0 && !iv.is_nan()))
+            .find(|iv| **iv <= 0.0 || iv.is_nan())
         {
             return Err(format!(
                 "grid.checkpoint_intervals must be positive (infinity disables checkpoints), got {iv}"
@@ -251,7 +251,8 @@ mod tests {
             );
         }
         // Grid knobs the engine's own asserts reject mid-run.
-        let cases: [(&str, fn(&mut SweepGrid)); 15] = [
+        type Break = fn(&mut SweepGrid);
+        let cases: [(&str, Break); 15] = [
             ("mttf_factors", |g| g.mttf_factors.push(-1.0)),
             ("mttf_factors", |g| g.mttf_factors.push(0.0)),
             ("mttf_factors", |g| g.mttf_factors.push(f64::NAN)),

@@ -2,8 +2,8 @@
 //! detection models, pinning the *whole* event loop rather than endpoint
 //! identities (those live in `tests/timed_model.rs`).
 //!
-//! Nine invariants, each over the [`execute_traced`] observability
-//! record or the streaming batch aggregation:
+//! Nine invariants, each over the [`TraceObserver`] observability record
+//! or the streaming batch aggregation:
 //!
 //! 1. **No operation ever executes on a Down processor** — a completed
 //!    op's `[start, finish]` window never overlaps a down window
@@ -64,6 +64,7 @@ use ftsched::runtime::TraceEventKind;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn arb_workload() -> impl Strategy<Value = (u64, usize, usize, usize, f64)> {
     // (seed, tasks, procs, eps, granularity)
@@ -146,6 +147,22 @@ type Cell = (
     RecoveryPolicy,
 );
 
+/// The builder form of a literal config.
+fn sim<'a>(inst: &'a Instance, sched: &'a FtSchedule, cfg: &EngineConfig) -> Simulation<'a> {
+    Simulation::of(inst, sched)
+        .policy(cfg.policy)
+        .detection(cfg.detection.clone())
+        .seed(cfg.seed)
+        .contention(cfg.contention)
+}
+
+/// One run with a [`TraceObserver`] attached.
+fn traced(sim: &Simulation<'_>, scenario: &FaultScenario) -> (RunOutcome, EngineTrace) {
+    let mut tracer = TraceObserver::new();
+    let out = sim.run_with(scenario, Some(&mut tracer), None);
+    (out, tracer.into_trace())
+}
+
 fn traced_cell(
     (seed, tasks, procs, eps, gran): (u64, usize, usize, usize, f64),
     (kind_ix, policy_ix, det_ix): (usize, usize, usize),
@@ -168,7 +185,7 @@ fn traced_cell(
         seed: seed ^ 0xE21,
         ..EngineConfig::default()
     };
-    let (out, trace) = execute_traced(&inst, &sched, &scenario, &cfg);
+    let (out, trace) = traced(&sim(&inst, &sched, &cfg), &scenario);
     (inst, sched, scenario, out, trace, pol)
 }
 
@@ -327,10 +344,10 @@ proptest! {
         };
         let streamed = simulate_many(&inst, &sched, &cfg);
         let mut acc = BatchAccumulator::new(nominal);
+        let mut exec = Executor::new(&inst, &sched, &cfg.engine);
         for i in 0..runs {
             let scenario = cfg.scenario_of_run(procs, i);
-            let out = execute(&inst, &sched, &scenario, &cfg.engine);
-            acc.record(scenario.earliest_crash(), &out);
+            acc.record(scenario.earliest_crash(), exec.run(&scenario));
         }
         let sequential = acc.finish(cfg.engine.policy);
         prop_assert_eq!(
@@ -370,8 +387,9 @@ proptest! {
             seed: seed ^ 0xE21,
             ..EngineConfig::default()
         };
-        let (absorb, absorb_trace) = execute_traced(&inst, &sched, &scenario, &cfg);
-        let (noop, noop_trace) = execute_traced_with(&inst, &sched, &scenario, &cfg, &Inert);
+        let absorb_sim = sim(&inst, &sched, &cfg);
+        let (absorb, absorb_trace) = traced(&absorb_sim, &scenario);
+        let (noop, noop_trace) = traced(&absorb_sim.policy_impl(Arc::new(Inert)), &scenario);
         prop_assert_eq!(
             serde_json::to_string(&absorb).unwrap(),
             serde_json::to_string(&noop).unwrap(),
@@ -449,7 +467,8 @@ proptest! {
             seed: seed ^ 0xE21,
             ..EngineConfig::default()
         };
-        let (out, trace) = execute_traced_with(&inst, &sched, &scenario, &cfg, &Mischief);
+        let hostile = sim(&inst, &sched, &cfg).policy_impl(Arc::new(Mischief));
+        let (out, trace) = traced(&hostile, &scenario);
         // Every crash-knowledge event proposed pre-stages onto the
         // believed-dead processor itself: with any detection at all,
         // some proposal must have been rejected.
@@ -471,7 +490,7 @@ proptest! {
             }
         }
         // Determinism survives hostile action streams.
-        let again = execute_with(&inst, &sched, &scenario, &cfg, &Mischief);
+        let again = hostile.run(&scenario);
         prop_assert_eq!(
             serde_json::to_string(&out).unwrap(),
             serde_json::to_string(&again).unwrap()
@@ -508,11 +527,11 @@ proptest! {
             },
             seed: seed ^ 0xBA7C4,
         };
+        let mut exec = Executor::new(&inst, &sched, &cfg.engine);
         let outcomes: Vec<(Option<f64>, RunOutcome)> = (0..runs)
             .map(|i| {
                 let scenario = cfg.scenario_of_run(procs, i);
-                let out = execute(&inst, &sched, &scenario, &cfg.engine);
-                (scenario.earliest_crash(), out)
+                (scenario.earliest_crash(), exec.run(&scenario).clone())
             })
             .collect();
 
