@@ -92,25 +92,16 @@ pub struct MonteCarloConfig {
     pub seed: u64,
 }
 
-/// The scenario of run `i` of a batch seeded with `seed`: a SplitMix-style
-/// mix of `(seed, i)` keeps per-run streams decorrelated.
-pub(crate) fn scenario_of_run(
-    seed: u64,
-    lifetime: &LifetimeDist,
-    failure: &FailureKind,
-    m: usize,
-    i: usize,
-) -> FaultScenario {
-    let mixed = seed.wrapping_add((i as u64).wrapping_mul(0x9E3779B97F4A7C15));
-    let mut rng = StdRng::seed_from_u64(mixed);
-    draw_scenario_with(m, lifetime, failure, &mut rng)
-}
-
 impl MonteCarloConfig {
     /// The scenario of run `i` (exposed so callers can replay a run of
-    /// interest in isolation).
+    /// interest in isolation): a SplitMix-style mix of `(seed, i)` keeps
+    /// per-run streams decorrelated.
     pub fn scenario_of_run(&self, m: usize, i: usize) -> FaultScenario {
-        scenario_of_run(self.seed, &self.lifetime, &self.failure, m, i)
+        let mixed = self
+            .seed
+            .wrapping_add((i as u64).wrapping_mul(0x9E3779B97F4A7C15));
+        let mut rng = StdRng::seed_from_u64(mixed);
+        draw_scenario_with(m, &self.lifetime, &self.failure, &mut rng)
     }
 }
 
@@ -151,7 +142,7 @@ fn accumulate_range(
             || (BatchAccumulator::new(nominal), None::<Box<EngineScratch>>),
             |(mut acc, mut slot), i| {
                 let scratch = slot.get_or_insert_with(|| pool.take());
-                let scenario = scenario_of_run(cfg.seed, &cfg.lifetime, &cfg.failure, m, i);
+                let scenario = cfg.scenario_of_run(m, i);
                 run_into(
                     inst,
                     sched,

@@ -117,44 +117,31 @@ impl JobSpec {
         // The grid knobs, checked against exactly what the engine's
         // constructors assert once the cells resolve.
         let g = &self.grid;
-        let positive = |x: f64| x.is_finite() && x > 0.0;
-        if let Some(f) = g.mttf_factors.iter().find(|f| !positive(**f)) {
-            return Err(format!(
-                "grid.mttf_factors must be positive finite numbers, got {f}"
-            ));
+        let positive = |x: &f64| x.is_finite() && *x > 0.0;
+        let reject =
+            |field: &str, want: &str, x: f64| Err(format!("grid.{field} must be {want}, got {x}"));
+        if let Some(&f) = g.mttf_factors.iter().find(|f| !positive(f)) {
+            return reject("mttf_factors", "positive and finite", f);
         }
-        if let Some(f) = g.mttr_factors.iter().flatten().find(|f| !positive(**f)) {
-            return Err(format!(
-                "grid.mttr_factors must be null or positive finite numbers, got {f}"
-            ));
+        if let Some(&f) = g.mttr_factors.iter().flatten().find(|f| !positive(f)) {
+            return reject("mttr_factors", "null or positive and finite", f);
         }
-        if let Some(iv) = g
-            .checkpoint_intervals
-            .iter()
-            .find(|iv| **iv <= 0.0 || iv.is_nan())
-        {
-            return Err(format!(
-                "grid.checkpoint_intervals must be positive (infinity disables checkpoints), got {iv}"
-            ));
+        let bad_interval = |iv: &&f64| **iv <= 0.0 || iv.is_nan();
+        if let Some(&iv) = g.checkpoint_intervals.iter().find(bad_interval) {
+            return reject("checkpoint_intervals", "positive (∞ disables them)", iv);
         }
         // Every roster carries an adaptive-checkpoint entry, whose
         // Young/Daly interval needs a positive overhead.
-        if !positive(g.checkpoint_overhead) {
-            return Err(format!(
-                "grid.checkpoint_overhead must be a positive finite number, got {}",
-                g.checkpoint_overhead
-            ));
+        let (overhead, latency) = (g.checkpoint_overhead, g.detection_latency);
+        if !positive(&overhead) {
+            return reject("checkpoint_overhead", "positive and finite", overhead);
         }
-        if !(g.detection_latency.is_finite() && g.detection_latency >= 0.0) {
-            return Err(format!(
-                "grid.detection_latency must be a non-negative finite number, got {}",
-                g.detection_latency
-            ));
+        if !(latency.is_finite() && latency >= 0.0) {
+            return reject("detection_latency", "non-negative and finite", latency);
         }
-        if g.detection_latency == 0.0 && g.detections.contains(&DetectionKind::Gossip) {
-            return Err(
-                "grid.detection_latency sets the gossip period: it must be positive".into(),
-            );
+        // Gossip detection runs its rounds at half the latency.
+        if latency == 0.0 && g.detections.contains(&DetectionKind::Gossip) {
+            return reject("detection_latency", "positive under gossip", latency);
         }
         Ok(())
     }

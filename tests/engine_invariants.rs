@@ -147,15 +147,6 @@ type Cell = (
     RecoveryPolicy,
 );
 
-/// The builder form of a literal config.
-fn sim<'a>(inst: &'a Instance, sched: &'a FtSchedule, cfg: &EngineConfig) -> Simulation<'a> {
-    Simulation::of(inst, sched)
-        .policy(cfg.policy)
-        .detection(cfg.detection.clone())
-        .seed(cfg.seed)
-        .contention(cfg.contention)
-}
-
 /// One run with a [`TraceObserver`] attached.
 fn traced(sim: &Simulation<'_>, scenario: &FaultScenario) -> (RunOutcome, EngineTrace) {
     let mut tracer = TraceObserver::new();
@@ -179,13 +170,11 @@ fn traced_cell(
         &mut StdRng::seed_from_u64(seed ^ 0x1A7E),
     );
     let pol = policy(policy_ix, inst.mean_task_cost());
-    let cfg = EngineConfig {
-        policy: pol,
-        detection: detection(det_ix, procs, seed),
-        seed: seed ^ 0xE21,
-        ..EngineConfig::default()
-    };
-    let (out, trace) = traced(&sim(&inst, &sched, &cfg), &scenario);
+    let sim = Simulation::of(&inst, &sched)
+        .policy(pol)
+        .detection(detection(det_ix, procs, seed))
+        .seed(seed ^ 0xE21);
+    let (out, trace) = traced(&sim, &scenario);
     (inst, sched, scenario, out, trace, pol)
 }
 
@@ -381,13 +370,10 @@ proptest! {
             &kind,
             &mut StdRng::seed_from_u64(seed ^ 0x1A7E),
         );
-        let cfg = EngineConfig {
-            policy: RecoveryPolicy::Absorb,
-            detection: detection(det_ix, procs, seed),
-            seed: seed ^ 0xE21,
-            ..EngineConfig::default()
-        };
-        let absorb_sim = sim(&inst, &sched, &cfg);
+        let absorb_sim = Simulation::of(&inst, &sched)
+            .policy(RecoveryPolicy::Absorb)
+            .detection(detection(det_ix, procs, seed))
+            .seed(seed ^ 0xE21);
         let (absorb, absorb_trace) = traced(&absorb_sim, &scenario);
         let (noop, noop_trace) = traced(&absorb_sim.policy_impl(Arc::new(Inert)), &scenario);
         prop_assert_eq!(
@@ -461,13 +447,11 @@ proptest! {
             &kind,
             &mut StdRng::seed_from_u64(seed ^ 0x1A7E),
         );
-        let cfg = EngineConfig {
-            policy: RecoveryPolicy::Absorb,
-            detection: detection(det_ix, procs, seed),
-            seed: seed ^ 0xE21,
-            ..EngineConfig::default()
-        };
-        let hostile = sim(&inst, &sched, &cfg).policy_impl(Arc::new(Mischief));
+        let hostile = Simulation::of(&inst, &sched)
+            .policy(RecoveryPolicy::Absorb)
+            .detection(detection(det_ix, procs, seed))
+            .seed(seed ^ 0xE21)
+            .policy_impl(Arc::new(Mischief));
         let (out, trace) = traced(&hostile, &scenario);
         // Every crash-knowledge event proposed pre-stages onto the
         // believed-dead processor itself: with any detection at all,
