@@ -269,6 +269,38 @@ fn deeply_nested_spec_fails_at_claim_without_aborting_the_daemon() {
 }
 
 #[test]
+fn oversized_spec_fails_at_claim_with_its_size_without_aborting_the_daemon() {
+    // A valid spec padded to 4 MiB with whitespace: it parses, so only a
+    // size check keeps the daemon from reading arbitrarily large files
+    // whole on every claim scan.
+    let root = temp_root("oversized");
+    let queue = JobQueue::open(&root).unwrap();
+    let mut text = serde_json::to_string(&JobSpec::example("bulky")).unwrap();
+    text.push_str(&" ".repeat(4 << 20));
+    std::fs::write(root.join("queue/pending/a-bulky.json"), &text).unwrap();
+    let good_spec = JobSpec::example("alice");
+    let good = queue.submit(Some("z-good"), &good_spec).unwrap();
+    Daemon::new(&root)
+        .unwrap()
+        .with_workers(1)
+        .run_until_idle()
+        .unwrap();
+    assert_eq!(queue.state("a-bulky"), Some(JobState::Failed));
+    let diagnostic = queue.read_error("a-bulky").unwrap();
+    assert!(
+        diagnostic.contains(&format!("{} bytes", text.len())),
+        "the diagnostic must name the size: {diagnostic}"
+    );
+    assert_eq!(queue.state(&good), Some(JobState::Done), "the good job ran");
+    assert_eq!(
+        cells_json(&read_final(&root, &good).unwrap().cells),
+        cells_json(&good_spec.direct_cell_results()),
+        "the good job beside the oversized one must verify byte for byte"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn build_rejected_specs_fail_at_claim_and_leave_the_cache_usable() {
     // Specs the workload build cannot serve: ε ≥ processors (no room for
     // ε + 1 distinct hosts), and a granularity that is not a positive
