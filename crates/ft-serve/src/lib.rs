@@ -65,4 +65,4 @@ pub mod queue;
 pub use cache::{ArtifactCache, CacheStats, ResolveOutcome, ResolvedJob};
 pub use daemon::{read_deltas, read_deltas_from, read_final, request_stop, stop_requested, Daemon};
 pub use job::{CellResult, DeltaRecord, FinalRecord, JobSpec};
-pub use queue::{ClaimOutcome, JobQueue, JobState, RootLock, ServeError};
+pub use queue::{ClaimOutcome, JobQueue, JobState, RootLock, ServeError, MAX_SPEC_BYTES};

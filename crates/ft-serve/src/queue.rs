@@ -37,7 +37,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::SystemTime;
@@ -68,6 +68,10 @@ impl From<std::io::Error> for ServeError {
         ServeError::Io(e)
     }
 }
+
+/// The largest job file a claim reads, in bytes. A spec is a few hundred
+/// bytes of JSON; a file near this size is broken or hostile.
+pub const MAX_SPEC_BYTES: u64 = 1 << 20;
 
 fn err(msg: impl Into<String>) -> ServeError {
     ServeError::Message(msg.into())
@@ -440,10 +444,20 @@ impl JobQueue {
         Ok(all)
     }
 
-    /// Reads a job's spec out of the given state directory.
+    /// Reads a job's spec out of the given state directory. A file over
+    /// [`MAX_SPEC_BYTES`] is refused before it is read.
     pub fn read_spec(&self, state: JobState, id: &str) -> Result<JobSpec, ServeError> {
         let path = self.job_file(state, id);
-        let text = fs::read_to_string(&path)?;
+        let file = fs::File::open(&path)?;
+        let len = file.metadata()?.len();
+        if len > MAX_SPEC_BYTES {
+            return Err(err(format!(
+                "{}: spec is {len} bytes, over the {MAX_SPEC_BYTES}-byte limit",
+                path.display()
+            )));
+        }
+        let mut text = String::new();
+        file.take(MAX_SPEC_BYTES).read_to_string(&mut text)?;
         serde_json::from_str(&text).map_err(|e| err(format!("parsing {}: {e}", path.display())))
     }
 
