@@ -32,13 +32,14 @@
 //!   cold resolution pays the full instance build plus CAFT scheduling,
 //!   warm resolution is two LRU lookups — the fast path that lets a
 //!   repeat job skip scheduling entirely;
-//! * `runtime/simulate_many` — Monte-Carlo batch throughput (rayon), now
+//! * `runtime/simulate_many` — Monte-Carlo batch throughput (the batch
+//!   executor's worker threads), now
 //!   including a 100 000-run case that only the streaming aggregator makes
 //!   practical: the pre-redesign collect-then-summarize path materialized
 //!   one `RunOutcome` per run (two 60-entry vectors ≈ 1.6 KB each ⇒
 //!   ≈ 160 MB peak for 1e5 runs, gigabytes at 1e6), while the streaming
-//!   `BatchAccumulator` fold keeps one ≈ 2.3 KB accumulator per rayon
-//!   chunk (a few KB total, O(threads), independent of the run count).
+//!   `BatchAccumulator` keeps one ≈ 4 KB accumulator per block in flight
+//!   (a few dozen KB total, independent of the run count).
 //!
 //! Each group also re-asserts the headline semantic property (recovery
 //! completes at least as much as absorb; failure-free engine == replay) so

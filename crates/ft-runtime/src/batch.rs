@@ -1,14 +1,22 @@
 //! Monte-Carlo driver: a streaming, mergeable aggregation of timed-failure
-//! runs.
+//! runs, executed by one barrier-free pass executor.
 //!
 //! [`simulate_many`] draws one timed [`FaultScenario`] per run from a
-//! [`LifetimeDist`], executes each under the configured recovery policy
-//! (rayon-parallel), and **streams** the outcomes into a
-//! [`BatchAccumulator`] via `fold` + `reduce`: each worker folds its runs
-//! into one constant-size accumulator, and the per-chunk accumulators are
-//! merged in a deterministic order. Memory is O(threads), not O(runs) —
-//! a 10⁶-run batch holds a handful of ~1 KB accumulators instead of 10⁶
-//! [`RunOutcome`]s (hundreds of MB at paper scale).
+//! [`LifetimeDist`], executes each under the configured recovery policy,
+//! and **streams** the outcomes into a [`BatchAccumulator`]. Every batch
+//! form — [`ChunkedBatch`] chunks (hence [`simulate_many`]),
+//! [`simulate_grid`] and [`simulate_grid_streamed`] — runs through one
+//! executor (DESIGN.md §18). A *pass* cuts its runs into an ordered list
+//! of **blocks**, each a `(cell, run range)`. Helper threads start once
+//! per pass, inside a `rayon::scope`, and the calling thread works too:
+//! every worker holds one warm arena from the [`ScratchPool`] for the
+//! whole pass, pulls the next block from an atomic cursor and records it
+//! into its own block accumulator. The calling thread merges finished
+//! blocks **in block order** into each cell's prefix accumulator and
+//! hands that prefix to a hook at every block end; the hook may stop the
+//! pass. Memory is O(blocks in flight), not O(runs) — a 10⁶-run batch
+//! holds a handful of ~4 KB accumulators instead of 10⁶ [`RunOutcome`]s
+//! (hundreds of MB at paper scale).
 //!
 //! Two properties are pinned by `tests/timed_model.rs`:
 //!
@@ -17,7 +25,7 @@
 //! * the accumulator's floating-point sums are kept in an **exact**
 //!   fixed-point form ([`ExactSum`]), so merging is associative *to the
 //!   bit*: the [`BatchSummary`] is byte-identical regardless of thread
-//!   count, chunk boundaries or merge tree — and identical to feeding the
+//!   count, block boundaries or merge tree — and identical to feeding the
 //!   collected outcomes through one accumulator sequentially (the old
 //!   collect-then-summarize path).
 //!
@@ -63,9 +71,9 @@ use ft_platform::Instance;
 use ft_sim::FaultScenario;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
-use std::ops::Range;
-use std::sync::Arc;
+use std::ops::{ControlFlow, Range};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Configuration of a Monte-Carlo batch.
 ///
@@ -106,8 +114,8 @@ impl MonteCarloConfig {
 }
 
 /// Runs `cfg.runs` independent timed-failure simulations of the schedule
-/// (in parallel via rayon) and aggregates them deterministically in O(1)
-/// memory per worker: the same configuration always produces the same
+/// in parallel and aggregates them deterministically in O(1) memory per
+/// worker: the same configuration always produces the same
 /// [`BatchSummary`], regardless of thread count (see the module docs for
 /// why the merge is bit-exact). A custom [`Policy`] runs through
 /// [`ChunkedBatch`] (or [`Simulation::policy_impl`]), the same loop.
@@ -117,114 +125,369 @@ pub fn simulate_many(inst: &Instance, sched: &FtSchedule, cfg: &MonteCarloConfig
     ChunkedBatch::new(inst, sched, cfg, &cfg.engine.policy).finish()
 }
 
-/// Runs `range` of the batch through the shared plan and scratch pool —
-/// the rayon fold/reduce every batch form ([`ChunkedBatch`] chunks,
-/// hence [`simulate_many`], and [`simulate_grid`] cells) goes through. Each
-/// worker takes one warm arena from `pool` at its first run, reuses it
-/// across its whole sub-range (zero allocations per failure-free run in
-/// steady state), and the reduce returns every arena to the pool. The
-/// merge is bit-exact, so the result does not depend on how rayon split
-/// the range.
-fn accumulate_range(
+/// Blocks per thread a pass aims for where no observed boundary forces
+/// finer cuts: enough that pulling evens out uneven run costs, few
+/// enough that the block count of a chunk stays bounded by the thread
+/// count.
+const BLOCKS_PER_THREAD: usize = 4;
+
+/// One cell of a pass: the batch its runs are drawn from, the policy
+/// they run under and that policy's plan.
+struct PassCell<'a> {
+    cfg: &'a MonteCarloConfig,
+    policy: &'a dyn Policy,
+    plan: &'a StaticPlan,
+}
+
+/// The unit a worker pulls: runs `runs` of cell `cell`.
+struct Block {
+    cell: usize,
+    runs: Range<usize>,
+}
+
+/// Cuts `spans` (`(cell, runs)` pairs, in pass order) into blocks. No
+/// block crosses a multiple of `every` (when `every > 0`), and blocks are
+/// about `total / (threads × BLOCKS_PER_THREAD)` runs long, so a pass
+/// with few boundaries still gives every thread work.
+fn blocks_of(spans: &[(usize, Range<usize>)], every: usize) -> Vec<Block> {
+    let total: usize = spans.iter().map(|(_, runs)| runs.len()).sum();
+    let target = total
+        .div_ceil(rayon::current_num_threads() * BLOCKS_PER_THREAD)
+        .max(1);
+    let mut blocks = Vec::new();
+    for (cell, runs) in spans {
+        let mut start = runs.start;
+        while start < runs.end {
+            let end = match every {
+                0 => runs.end,
+                _ => runs.end.min((start / every + 1).saturating_mul(every)),
+            };
+            let (len, pieces) = (end - start, (end - start).div_ceil(target));
+            blocks.extend((0..pieces).map(|k| Block {
+                cell: *cell,
+                runs: start + len * k / pieces..start + len * (k + 1) / pieces,
+            }));
+            start = end;
+        }
+    }
+    blocks
+}
+
+/// What a pass does at each block end, with the block and its cell's
+/// prefix accumulator: continue, or stop the pass.
+type Hook<'h> = dyn FnMut(&Block, &BatchAccumulator) -> ControlFlow<()> + Send + 'h;
+
+/// The state the workers of one pass share.
+struct Pass<'a> {
+    inst: &'a Instance,
+    sched: &'a FtSchedule,
+    cells: &'a [PassCell<'a>],
+    blocks: &'a [Block],
+    pool: &'a ScratchPool,
+    /// The next block no worker has claimed.
+    next: AtomicUsize,
+    /// Set when the hook stops the pass or a worker panics: no further
+    /// block is claimed.
+    stop: AtomicBool,
+    /// Finished block accumulators, by block index, until merged.
+    finished: Mutex<Vec<Option<Box<BatchAccumulator>>>>,
+    /// Signalled when a block finishes or `stop` is set.
+    progress: Condvar,
+}
+
+/// Sets `stop` and wakes the merging thread when a worker unwinds, so no
+/// thread waits for a block the panicking worker will never finish.
+struct StopOnPanic<'p, 'a>(&'p Pass<'a>);
+
+impl Drop for StopOnPanic<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop.store(true, Ordering::SeqCst);
+            // Taking the lock orders this store before the merging
+            // thread's next check of `stop`; a poisoned lock is held too.
+            let _held = self.0.finished.lock();
+            self.0.progress.notify_all();
+        }
+    }
+}
+
+impl Pass<'_> {
+    fn finished(&self) -> MutexGuard<'_, Vec<Option<Box<BatchAccumulator>>>> {
+        // Nothing panics while holding the lock.
+        self.finished
+            .lock()
+            .expect("batch pass: finished-block lock poisoned")
+    }
+
+    fn claim(&self) -> Option<usize> {
+        if self.stop.load(Ordering::SeqCst) {
+            return None;
+        }
+        let b = self.next.fetch_add(1, Ordering::SeqCst);
+        (b < self.blocks.len()).then_some(b)
+    }
+
+    /// Claims and runs one block through the worker's arena (taken from
+    /// the pool at its first block) and files its accumulator. Returns
+    /// whether a block was left to claim.
+    fn work_one(&self, arena: &mut Option<Box<EngineScratch>>) -> bool {
+        let Some(b) = self.claim() else {
+            return false;
+        };
+        let block = &self.blocks[b];
+        let cell = &self.cells[block.cell];
+        let scratch = arena.get_or_insert_with(|| self.pool.take());
+        let m = self.inst.num_procs();
+        let mut acc = BatchAccumulator::new(self.sched.latency());
+        for i in block.runs.clone() {
+            let scenario = cell.cfg.scenario_of_run(m, i);
+            run_into(
+                self.inst,
+                self.sched,
+                &scenario,
+                &cell.cfg.engine,
+                cell.policy,
+                cell.plan,
+                scratch,
+                None,
+                None,
+            );
+            acc.record(scenario.earliest_crash(), &scratch.outcome);
+        }
+        self.finished()[b] = Some(Box::new(acc));
+        self.progress.notify_all();
+        true
+    }
+
+    /// A helper's whole share of the pass: blocks until none is left.
+    fn help(&self) {
+        let _guard = StopOnPanic(self);
+        let mut arena = None;
+        while self.work_one(&mut arena) {}
+        if let Some(scratch) = arena {
+            self.pool.put(scratch);
+        }
+    }
+
+    /// The calling thread's share: merges finished blocks in order and
+    /// runs the hook, works while the next block in order is unfinished,
+    /// and waits only for a block some running worker holds.
+    fn drive(&self, accs: &mut [BatchAccumulator], hook: &mut Hook<'_>) -> ControlFlow<()> {
+        let _guard = StopOnPanic(self);
+        let mut arena = None;
+        let mut flow = ControlFlow::Continue(());
+        for (b, block) in self.blocks.iter().enumerate() {
+            let acc = loop {
+                let mut finished = self.finished();
+                if let Some(acc) = finished[b].take() {
+                    break Some(acc);
+                }
+                if self.stop.load(Ordering::SeqCst) {
+                    break None; // a worker panicked; the scope re-raises it
+                }
+                if self.next.load(Ordering::SeqCst) < self.blocks.len() {
+                    drop(finished);
+                    self.work_one(&mut arena);
+                } else {
+                    drop(
+                        self.progress
+                            .wait(finished)
+                            .expect("batch pass: finished-block lock poisoned"),
+                    );
+                }
+            };
+            let Some(acc) = acc else { break };
+            accs[block.cell].merge_in(*acc);
+            flow = hook(block, &accs[block.cell]);
+            if flow.is_break() {
+                self.stop.store(true, Ordering::SeqCst);
+                break;
+            }
+        }
+        if let Some(scratch) = arena {
+            self.pool.put(scratch);
+        }
+        flow
+    }
+}
+
+/// Runs `blocks` of `cells` — the one executor under every batch form.
+/// Each block's runs are merged into `accs[block.cell]`, in block order,
+/// and `hook` sees the prefix after each block. Returns `Break` when the
+/// hook stopped the pass; every block still running has ended by then.
+/// A panic in a run ends the pass with that panic's payload, after every
+/// other worker has finished its block.
+fn run_pass(
     inst: &Instance,
     sched: &FtSchedule,
-    cfg: &MonteCarloConfig,
-    policy: &dyn Policy,
-    plan: &StaticPlan,
+    cells: &[PassCell<'_>],
+    blocks: &[Block],
     pool: &ScratchPool,
-    range: Range<usize>,
-) -> BatchAccumulator {
-    let m = inst.num_procs();
-    let nominal = sched.latency();
-    let (acc, scratch) = range
-        .into_par_iter()
-        .fold(
-            || (BatchAccumulator::new(nominal), None::<Box<EngineScratch>>),
-            |(mut acc, mut slot), i| {
-                let scratch = slot.get_or_insert_with(|| pool.take());
-                let scenario = cfg.scenario_of_run(m, i);
-                run_into(
-                    inst,
-                    sched,
-                    &scenario,
-                    &cfg.engine,
-                    policy,
-                    plan,
-                    scratch,
-                    None,
-                    None,
-                );
-                acc.record(scenario.earliest_crash(), &scratch.outcome);
-                (acc, slot)
-            },
-        )
-        .reduce(
-            || (BatchAccumulator::new(nominal), None),
-            |(a, sa), (b, sb)| {
-                if let Some(s) = sa {
-                    pool.put(s);
-                }
-                if let Some(s) = sb {
-                    pool.put(s);
-                }
-                (a.merge(b), None)
-            },
-        );
-    if let Some(s) = scratch {
-        pool.put(s);
+    accs: &mut [BatchAccumulator],
+    hook: &mut Hook<'_>,
+) -> ControlFlow<()> {
+    let pass = Pass {
+        inst,
+        sched,
+        cells,
+        blocks,
+        pool,
+        next: AtomicUsize::new(0),
+        stop: AtomicBool::new(false),
+        finished: Mutex::new(blocks.iter().map(|_| None).collect()),
+        progress: Condvar::new(),
+    };
+    let workers = rayon::current_num_threads().min(blocks.len());
+    if workers <= 1 {
+        return pass.drive(accs, hook);
     }
-    acc
+    rayon::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(|_| pass.help());
+        }
+        pass.drive(accs, hook)
+    })
 }
 
 /// Runs a whole parameter grid — one [`MonteCarloConfig`] per cell, all
-/// over the same `(inst, sched)` — sharing one [`ScratchPool`] of warm
-/// arenas across every cell and one [`StaticPlan`] per distinct recovery
-/// policy. Setup that a per-cell [`simulate_many`] loop would redo for
-/// every cell (checkpoint-plan queries, the op template, arena warm-up)
-/// is paid once per policy / per worker for the whole sweep.
+/// over the same `(inst, sched)` — as one pass: every cell's runs are
+/// pulled by the same workers, with one [`StaticPlan`] per distinct
+/// recovery policy and one warm arena per worker for the whole grid.
 ///
-/// Cells execute in order; each summary is **byte-identical** to
-/// `simulate_many(inst, sched, &cells[i])` — sharing amortizes setup, it
-/// never couples cells (pinned by this module's tests and the
-/// degradation-sweep goldens that run through this path).
+/// Each summary is **byte-identical** to `simulate_many(inst, sched,
+/// &cells[i])` — sharing amortizes setup and balances load across cells,
+/// it never couples them (pinned by this module's tests and the
+/// `ft-serve` identity tests that run through this path).
 pub fn simulate_grid(
     inst: &Instance,
     sched: &FtSchedule,
     cells: &[MonteCarloConfig],
 ) -> Vec<BatchSummary> {
-    let pool = ScratchPool::new();
+    simulate_grid_streamed(inst, sched, cells, 0, |_| ControlFlow::Continue(()))
+        .expect("a hook that never stops lets the pass finish")
+}
+
+/// Where a [`simulate_grid_streamed`] pass stands at an observed
+/// boundary of one cell.
+pub struct GridProgress<'p> {
+    /// The cell's index in the grid.
+    pub cell: usize,
+    /// Runs of the cell executed so far (runs `0..completed_runs`).
+    pub completed_runs: usize,
+    /// The cell's run count.
+    pub total_runs: usize,
+    policy: RecoveryPolicy,
+    acc: &'p BatchAccumulator,
+}
+
+impl GridProgress<'_> {
+    /// The cell's exact summary over its completed runs — the same bytes
+    /// as [`ChunkedBatch::snapshot`] after those runs.
+    pub fn snapshot(&self) -> BatchSummary {
+        self.acc.clone().finish(self.policy)
+    }
+}
+
+/// [`simulate_grid`] with a hook at observed boundaries: after runs
+/// `0..k` of a cell, for every `k` that is a multiple of `every` (when
+/// `every > 0`) and at the cell's last run. Cells are observed in grid
+/// order and each cell's boundaries in run order, whatever the thread
+/// count. The hook may stop the pass, in which case this returns `None`
+/// once every block still running has ended; otherwise it returns the
+/// summaries of [`simulate_grid`].
+pub fn simulate_grid_streamed(
+    inst: &Instance,
+    sched: &FtSchedule,
+    cells: &[MonteCarloConfig],
+    every: usize,
+    mut hook: impl FnMut(&GridProgress<'_>) -> ControlFlow<()> + Send,
+) -> Option<Vec<BatchSummary>> {
     let mut plans: Vec<(RecoveryPolicy, StaticPlan)> = Vec::new();
-    let mut out = Vec::with_capacity(cells.len());
+    let mut plan_of = Vec::with_capacity(cells.len());
     for cfg in cells {
-        let idx = match plans.iter().position(|(p, _)| *p == cfg.engine.policy) {
+        let policy = cfg.engine.policy;
+        plan_of.push(match plans.iter().position(|(p, _)| *p == policy) {
             Some(i) => i,
             None => {
-                plans.push((
-                    cfg.engine.policy,
-                    StaticPlan::new(inst, sched, &cfg.engine.policy),
-                ));
+                plans.push((policy, StaticPlan::new(inst, sched, &policy)));
                 plans.len() - 1
             }
-        };
-        let acc = accumulate_range(
-            inst,
-            sched,
-            cfg,
-            &cfg.engine.policy,
-            &plans[idx].1,
-            &pool,
-            0..cfg.runs,
-        );
-        out.push(acc.finish_labeled(cfg.engine.policy, cfg.engine.policy.label()));
+        });
     }
-    out
+    let pass_cells: Vec<PassCell<'_>> = cells
+        .iter()
+        .zip(plan_of)
+        .map(|(cfg, i)| PassCell {
+            cfg,
+            policy: &cfg.engine.policy,
+            plan: &plans[i].1,
+        })
+        .collect();
+    let accs = grid_pass(
+        inst,
+        sched,
+        &pass_cells,
+        every,
+        &ScratchPool::new(),
+        &mut hook,
+    )?;
+    Some(
+        accs.into_iter()
+            .zip(cells)
+            .map(|(acc, cfg)| acc.finish(cfg.engine.policy))
+            .collect(),
+    )
+}
+
+/// The pass behind [`simulate_grid_streamed`], over cells that carry
+/// their own policy and plan: one accumulator per cell, or `None` when
+/// the hook stopped the pass.
+fn grid_pass(
+    inst: &Instance,
+    sched: &FtSchedule,
+    cells: &[PassCell<'_>],
+    every: usize,
+    pool: &ScratchPool,
+    hook: &mut (dyn FnMut(&GridProgress<'_>) -> ControlFlow<()> + Send),
+) -> Option<Vec<BatchAccumulator>> {
+    let spans: Vec<_> = (0..cells.len())
+        .map(|c| (c, 0..cells[c].cfg.runs))
+        .collect();
+    let mut accs: Vec<_> = cells
+        .iter()
+        .map(|_| BatchAccumulator::new(sched.latency()))
+        .collect();
+    let flow = run_pass(
+        inst,
+        sched,
+        cells,
+        &blocks_of(&spans, every),
+        pool,
+        &mut accs,
+        &mut |block, acc| {
+            let cfg = cells[block.cell].cfg;
+            let done = block.runs.end;
+            if done != cfg.runs && (every == 0 || done % every != 0) {
+                return ControlFlow::Continue(());
+            }
+            hook(&GridProgress {
+                cell: block.cell,
+                completed_runs: done,
+                total_runs: cfg.runs,
+                policy: cfg.engine.policy,
+                acc,
+            })
+        },
+    );
+    flow.is_continue().then_some(accs)
 }
 
 /// A resumable, chunked Monte-Carlo batch under any [`Policy`] — the one
 /// batch loop behind [`simulate_many`] and
 /// [`Simulation::monte_carlo`](crate::Simulation::monte_carlo). The
-/// batch's runs are executed in caller-paced chunks, each chunk through
-/// a rayon fold/reduce, and folded into one held [`BatchAccumulator`]. Between chunks the caller can take a
+/// batch's runs are executed in caller-paced chunks, each chunk one pass
+/// of the batch executor (see the module docs), and folded into one held
+/// [`BatchAccumulator`]. Between chunks the caller can take a
 /// [`snapshot`](ChunkedBatch::snapshot) — a well-defined partial
 /// [`BatchSummary`] over the runs executed so far — or abandon the batch
 /// entirely (cancellation).
@@ -335,28 +598,30 @@ impl<'a> ChunkedBatch<'a> {
         self.next_run >= self.cfg.runs
     }
 
-    /// Executes the next (up to) `n` runs of the batch — rayon-parallel,
-    /// like [`simulate_many`] — and folds them into the held accumulator.
-    /// Returns the number of runs actually executed (less than `n` only
-    /// at the tail; `0` once the batch is done).
+    /// Executes the next (up to) `n` runs of the batch as one pass of the
+    /// batch executor and folds them into the held accumulator. Returns
+    /// the number of runs actually executed (less than `n` only at the
+    /// tail; `0` once the batch is done).
     pub fn run_chunk(&mut self, n: usize) -> usize {
         let start = self.next_run;
         let end = self.cfg.runs.min(start.saturating_add(n));
         if start >= end {
             return 0;
         }
-        let nominal = self.sched.latency();
-        let chunk = accumulate_range(
+        let cell = PassCell {
+            cfg: self.cfg,
+            policy: self.policy,
+            plan: &self.plan,
+        };
+        let _ = run_pass(
             self.inst,
             self.sched,
-            self.cfg,
-            self.policy,
-            &self.plan,
+            &[cell],
+            &blocks_of(&[(0, start..end)], 0),
             &self.pool,
-            start..end,
+            std::slice::from_mut(&mut self.acc),
+            &mut |_, _| ControlFlow::Continue(()),
         );
-        let held = std::mem::replace(&mut self.acc, BatchAccumulator::new(nominal));
-        self.acc = held.merge(chunk);
         self.next_run = end;
         end - start
     }
@@ -445,14 +710,20 @@ impl BatchAccumulator {
     /// the bit (integer counters, max, and exact sums), so any merge tree
     /// over the same runs produces the same final summary.
     pub fn merge(mut self, other: Self) -> Self {
+        self.merge_in(other);
+        self
+    }
+
+    /// [`merge`](BatchAccumulator::merge) in place.
+    fn merge_in(&mut self, other: Self) {
         let (runs, other_runs) = (self.metrics.runs(), other.metrics.runs());
         debug_assert!(
             other_runs == 0 || runs == 0 || self.nominal == other.nominal,
             "merging accumulators of different schedules"
         );
         if runs == 0 {
-            // Adopt the non-empty side's shape (the reduce identity is
-            // built with the same nominal in simulate_many, but a generic
+            // Adopt the non-empty side's shape (a pass's prefix
+            // accumulators are built with the same nominal, but a generic
             // caller may merge into a default-shaped empty accumulator).
             self.nominal = other.nominal;
             self.metrics = other.metrics; // adopt the bucket shape
@@ -463,7 +734,6 @@ impl BatchAccumulator {
         self.failures += other.failures;
         self.tasks_recovered += other.tasks_recovered;
         self.checkpoint_overhead.merge(&other.checkpoint_overhead);
-        self
     }
 
     /// Closes the aggregate into a [`BatchSummary`] for runs executed
@@ -1054,5 +1324,215 @@ mod tests {
                 "cell {i} diverged from its standalone batch"
             );
         }
+    }
+
+    /// Re-replicates like the built-in, but panics at the first crash
+    /// detection of one chosen run (matched by its detection instant).
+    struct PanicsOnRun {
+        run: usize,
+        detected_at: f64,
+    }
+
+    impl Policy for PanicsOnRun {
+        fn on_crash(
+            &self,
+            view: &crate::PolicyView<'_>,
+            event: &crate::PolicyEvent,
+            actions: &mut Vec<crate::RecoveryAction>,
+        ) {
+            if event.first && (event.time - self.detected_at).abs() <= 1e-9 * self.detected_at {
+                panic!("chosen run {} panics", self.run);
+            }
+            RecoveryPolicy::ReReplicate.on_crash(view, event, actions);
+        }
+    }
+
+    fn crashy_batch(sched: &FtSchedule, seed: u64) -> MonteCarloConfig {
+        MonteCarloConfig {
+            runs: 64,
+            lifetime: LifetimeDist::Exponential {
+                mean: sched.latency(),
+            },
+            failure: FailureKind::Permanent,
+            engine: EngineConfig {
+                policy: RecoveryPolicy::ReReplicate,
+                detection: DetectionModel::Uniform(0.5),
+                seed: 3,
+                ..EngineConfig::default()
+            },
+            seed,
+        }
+    }
+
+    /// Runs `f` on its own thread and returns its panic message, failing
+    /// the test if `f` returns normally or does not end within a minute.
+    fn panic_message_of(f: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            let message = caught
+                .err()
+                .map(|payload| match payload.downcast::<String>() {
+                    Ok(message) => *message,
+                    Err(_) => "<not a String payload>".to_string(),
+                });
+            tx.send(message).ok();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the batch hung after a run panicked")
+            .expect("the batch returned although a run panicked")
+    }
+
+    #[test]
+    fn a_panicking_run_ends_the_pass_with_its_payload_and_spares_later_batches() {
+        let (inst, sched) = setup();
+        let (ok_cell, cfg) = (crashy_batch(&sched, 40), crashy_batch(&sched, 41));
+        let m = inst.num_procs();
+        let run = (10..cfg.runs)
+            .find(|&i| {
+                cfg.scenario_of_run(m, i)
+                    .earliest_crash()
+                    .is_some_and(|t| t < 0.3 * sched.latency())
+            })
+            .expect("some run crashes early");
+        let detected_at = cfg.scenario_of_run(m, run).earliest_crash().unwrap() + 0.5;
+        let expected = format!("chosen run {run} panics");
+        let json = |s: &BatchSummary| serde_json::to_string(s).unwrap();
+        let pool = Arc::new(ScratchPool::new());
+        let reference = json(
+            &ChunkedBatch::with_pool(&inst, &sched, &cfg, &cfg.engine.policy, Arc::clone(&pool))
+                .finish(),
+        );
+        let grid_cells = [ok_cell.clone(), cfg.clone()];
+        let grid_reference: Vec<String> = simulate_grid(&inst, &sched, &grid_cells)
+            .iter()
+            .map(json)
+            .collect();
+
+        // One chunk over the whole batch, sharing the arena pool.
+        let (i, s, c, p) = (inst.clone(), sched.clone(), cfg.clone(), Arc::clone(&pool));
+        let message = panic_message_of(move || {
+            let policy = PanicsOnRun { run, detected_at };
+            ChunkedBatch::with_pool(&i, &s, &c, &policy, p).run_chunk(c.runs);
+        });
+        assert_eq!(message, expected);
+
+        // A grid pass whose second cell holds the chosen run.
+        let (i, s, p) = (inst.clone(), sched.clone(), Arc::clone(&pool));
+        let message = panic_message_of(move || {
+            let policy = PanicsOnRun { run, detected_at };
+            let (ok_plan, plan) = (
+                StaticPlan::new(&i, &s, &grid_cells[0].engine.policy),
+                StaticPlan::new(&i, &s, &policy),
+            );
+            let cells = [
+                PassCell {
+                    cfg: &grid_cells[0],
+                    policy: &grid_cells[0].engine.policy,
+                    plan: &ok_plan,
+                },
+                PassCell {
+                    cfg: &grid_cells[1],
+                    policy: &policy,
+                    plan: &plan,
+                },
+            ];
+            grid_pass(&i, &s, &cells, 0, &p, &mut |_| ControlFlow::Continue(()));
+        });
+        assert_eq!(message, expected);
+
+        // Later batches, through the same pool, keep their bytes.
+        assert_eq!(
+            json(&ChunkedBatch::with_pool(&inst, &sched, &cfg, &cfg.engine.policy, pool).finish()),
+            reference
+        );
+        let grid: Vec<String> = simulate_grid(&inst, &sched, &[ok_cell, cfg])
+            .iter()
+            .map(json)
+            .collect();
+        assert_eq!(grid, grid_reference);
+    }
+
+    /// Re-replicates like the built-in, but holds every run of a thread
+    /// other than `driver` at its first crash detection until the gate
+    /// opens, counting the runs that entered and left the gate.
+    struct Gate {
+        driver: std::thread::ThreadId,
+        state: Mutex<(usize, usize, bool)>,
+        changed: Condvar,
+    }
+
+    impl Policy for Gate {
+        fn on_crash(
+            &self,
+            view: &crate::PolicyView<'_>,
+            event: &crate::PolicyEvent,
+            actions: &mut Vec<crate::RecoveryAction>,
+        ) {
+            if event.first && std::thread::current().id() != self.driver {
+                let mut state = self.state.lock().unwrap();
+                state.0 += 1;
+                self.changed.notify_all();
+                let deadline = std::time::Duration::from_secs(30);
+                state = self
+                    .changed
+                    .wait_timeout_while(state, deadline, |s| !s.2)
+                    .unwrap()
+                    .0;
+                state.1 += 1;
+            }
+            RecoveryPolicy::ReReplicate.on_crash(view, event, actions);
+        }
+    }
+
+    #[test]
+    fn a_stopping_hook_leaves_no_block_running() {
+        let (inst, sched) = setup();
+        let cfgs = [crashy_batch(&sched, 50), crashy_batch(&sched, 51)];
+        let gate = Gate {
+            driver: std::thread::current().id(),
+            state: Mutex::new((0, 0, false)),
+            changed: Condvar::new(),
+        };
+        // The first cell runs ungated, so the first hook call never
+        // waits for a held run.
+        let plan = StaticPlan::new(&inst, &sched, &gate);
+        let cells = [
+            PassCell {
+                cfg: &cfgs[0],
+                policy: &cfgs[0].engine.policy,
+                plan: &plan,
+            },
+            PassCell {
+                cfg: &cfgs[1],
+                policy: &gate,
+                plan: &plan,
+            },
+        ];
+        let mut hook_calls = 0;
+        let out = grid_pass(&inst, &sched, &cells, 1, &ScratchPool::new(), &mut |_| {
+            hook_calls += 1;
+            // Stop while a helper is held inside a run (when there is
+            // a helper), then let it finish.
+            let mut state = gate.state.lock().unwrap();
+            if rayon::current_num_threads() > 1 {
+                let deadline = std::time::Duration::from_secs(30);
+                state = gate
+                    .changed
+                    .wait_timeout_while(state, deadline, |s| s.0 == s.1)
+                    .unwrap()
+                    .0;
+            }
+            state.2 = true;
+            gate.changed.notify_all();
+            ControlFlow::Break(())
+        });
+        assert!(out.is_none(), "a stopped pass returns no summaries");
+        assert_eq!(hook_calls, 1, "no hook runs after the stop");
+        let (entered, left, _) = *gate.state.lock().unwrap();
+        assert_eq!(
+            entered, left,
+            "a run was still in flight after the pass returned"
+        );
     }
 }

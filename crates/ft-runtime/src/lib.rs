@@ -47,10 +47,12 @@
 //!   (per-task Young/Daly intervals derived from the lifetime hazard
 //!   rate) and [`WarmSpare`](RecoveryPolicy::WarmSpare) (re-replication
 //!   that pre-stages inputs of broken tasks onto rejoined processors);
-//! * [`simulate_many`] / [`ChunkedBatch`] — rayon-parallel Monte-Carlo
-//!   batches streamed through a mergeable [`BatchAccumulator`]
-//!   (O(threads) memory, byte-identical [`BatchSummary`] at any thread
-//!   count and any chunking);
+//! * [`simulate_many`] / [`ChunkedBatch`] / [`simulate_grid`] — parallel
+//!   Monte-Carlo batches run by one barrier-free executor (DESIGN.md
+//!   §18) and streamed through a mergeable [`BatchAccumulator`]
+//!   (O(blocks in flight) memory, byte-identical [`BatchSummary`] at any
+//!   thread count and any chunking); [`simulate_grid_streamed`] hands
+//!   each cell's partial summary to a hook as the grid runs;
 //! * [`Observer`] — streaming observability (DESIGN.md §12): the engine
 //!   pushes every event, op and outcome into an observer attached with
 //!   [`Simulation::run_with`]; a [`TraceObserver`] buffers them into an
@@ -121,7 +123,8 @@ pub mod scratch;
 pub mod simulation;
 
 pub use batch::{
-    simulate_grid, simulate_many, BatchAccumulator, ChunkedBatch, ExactSum, MonteCarloConfig,
+    simulate_grid, simulate_grid_streamed, simulate_many, BatchAccumulator, ChunkedBatch, ExactSum,
+    GridProgress, MonteCarloConfig,
 };
 pub use detection::DetectionModel;
 pub use engine::{EngineTrace, OpTrace, PolicyView, TraceEvent, TraceEventKind};

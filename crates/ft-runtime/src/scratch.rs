@@ -26,11 +26,12 @@
 //!   scratch performs **zero** heap allocations (pinned by
 //!   `tests/alloc_discipline.rs`).
 //! * [`ScratchPool`] — a mutex-guarded stack of warm arenas, shared by
-//!   the rayon workers of [`simulate_many`](crate::simulate_many) /
-//!   [`ChunkedBatch`](crate::ChunkedBatch) chunks and across the cells
-//!   of a [`simulate_grid`](crate::simulate_grid) sweep, so arena
-//!   warm-up is paid once per thread per batch — not once per run or per
-//!   grid cell.
+//!   the workers of the batch executor: each worker of a pass (a
+//!   [`ChunkedBatch`](crate::ChunkedBatch) chunk, hence
+//!   [`simulate_many`](crate::simulate_many), or a whole
+//!   [`simulate_grid`](crate::simulate_grid) sweep) holds one arena for
+//!   the pass, so arena warm-up is paid once per thread per batch — not
+//!   once per run or per grid cell.
 //!
 //! [`Executor`] packages a plan and an arena behind the simplest
 //! possible steady-state surface: construct once, call
@@ -315,9 +316,10 @@ impl std::fmt::Debug for EngineScratch {
     }
 }
 
-/// A shared stack of warm [`EngineScratch`] arenas. Rayon workers of a
-/// batch chunk take one arena each and return it at the reduce, so the
-/// next chunk (or the next cell of a grid) starts warm instead of cold.
+/// A shared stack of warm [`EngineScratch`] arenas. Each worker of a
+/// batch pass takes one arena at its first block and returns it when the
+/// pass ends, so the next chunk (or the next batch on the same pool)
+/// starts warm instead of cold.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     // Boxed on purpose: take/put hand a pointer across threads instead

@@ -3,7 +3,7 @@
 //! [`Executor`] running failure-free scenarios — performs **zero** heap
 //! allocations per run, and batch chunks through a warm
 //! [`ChunkedBatch`] allocate sublinearly in the number of runs (the
-//! only allocations left are the rayon driver's per-chunk bookkeeping).
+//! only allocations left are the batch executor's per-pass bookkeeping).
 //!
 //! The counting allocator tallies process-wide, so this binary contains
 //! exactly one `#[test]` — a second test thread would pollute the
@@ -79,10 +79,10 @@ fn steady_state_hot_loop_does_not_allocate() {
 
     // Part 2: batch chunks through warm pooled arenas. The engine side
     // is allocation-free per run, so chunk cost must not scale with run
-    // count — only the rayon driver's per-chunk bookkeeping (its
-    // materialized item list and thread spawns) remains, which grows
-    // O(log n) via Vec doubling, not O(n). A 10× larger chunk staying
-    // within a small constant of the smaller one pins exactly that.
+    // count — only the batch executor's per-pass bookkeeping (thread
+    // spawns and one accumulator per block, with the block count bounded
+    // by the thread count) remains. A 10× larger chunk staying within a
+    // small constant of the smaller one pins exactly that.
     let mc = MonteCarloConfig {
         runs: 4200,
         lifetime: LifetimeDist::Never,

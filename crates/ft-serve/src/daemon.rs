@@ -3,26 +3,30 @@
 //!
 //! Each worker loops claim → execute. Executing a job resolves its
 //! workload through the shared [`ArtifactCache`], enumerates the grid
-//! cells, and runs each cell through a
-//! [`ChunkedBatch`] in `delta_every`-run
-//! chunks: after every chunk a partial-summary [`DeltaRecord`] is
-//! appended to `results/<id>/deltas.jsonl` (flushed, so clients tail it
-//! live) and the job's cancellation tombstone is checked. The final
+//! cells, and runs them all as one pass of ft-runtime's batch executor
+//! ([`simulate_grid_streamed`]): the pass's threads pull blocks of runs
+//! across every cell, with one plan per distinct policy. At every
+//! `delta_every`-run boundary of a cell (and at its last run) the pass
+//! hands the cell's partial summary to the daemon, which appends a
+//! [`DeltaRecord`] to `results/<id>/deltas.jsonl` (flushed, so clients
+//! tail it live) and checks the job's cancellation tombstone. The final
 //! [`FinalRecord`] is written via temp-file + rename — a `final.json`
 //! is always complete.
 //!
-//! Chunking, worker count and cache hits cannot change the result: the
-//! final summaries are byte-identical to direct
-//! [`simulate_many`](ft_runtime::simulate_many) calls (the
-//! [`ChunkedBatch`] identity, re-pinned
+//! Block split, thread count, worker count and cache hits cannot change
+//! the result: deltas come in cell order with the bytes of a
+//! [`ChunkedBatch`](ft_runtime::ChunkedBatch) of `delta_every`-run
+//! chunks, and the final summaries are byte-identical to direct
+//! [`simulate_many`](ft_runtime::simulate_many) calls (re-pinned
 //! end-to-end through the daemon by `tests/service.rs`).
 
 use crate::cache::ArtifactCache;
 use crate::job::{CellResult, DeltaRecord, FinalRecord};
 use crate::queue::{ClaimOutcome, JobQueue, JobState, ServeError};
-use ft_runtime::{ChunkedBatch, ScratchPool};
+use ft_runtime::simulate_grid_streamed;
 use std::fs;
 use std::io::Write;
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,7 +55,7 @@ impl Daemon {
     }
 
     /// Sets the worker-pool size (at least 1): how many jobs execute
-    /// concurrently. Cells within a job already parallelize via rayon,
+    /// concurrently. A job's runs already spread over the batch threads,
     /// so workers buy cross-tenant concurrency, not raw throughput.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
@@ -180,50 +184,54 @@ impl Daemon {
         } else {
             None
         };
-        let mut finished = Vec::with_capacity(cells.len());
-        // One scratch-arena pool for the whole job: arenas warmed by one
-        // cell's chunks are reused by every later cell instead of being
-        // re-allocated per cell (capacity only — summaries are unchanged).
-        let pool = Arc::new(ScratchPool::new());
-        for (idx, cell) in cells.iter().enumerate() {
-            let mc = cell.monte_carlo_config(&resolved.inst, &resolved.sched);
-            let mut chunked = ChunkedBatch::with_pool(
-                &resolved.inst,
-                &resolved.sched,
-                &mc,
-                &mc.engine.policy,
-                Arc::clone(&pool),
-            );
-            let chunk = if spec.delta_every > 0 {
-                spec.delta_every
-            } else {
-                usize::MAX
-            };
-            while !chunked.is_done() {
-                if self.queue.cancelled(&claim.id) {
-                    return Ok(JobEnd::Cancelled);
-                }
-                chunked.run_chunk(chunk);
+        let configs: Vec<_> = cells
+            .iter()
+            .map(|cell| cell.monte_carlo_config(&resolved.inst, &resolved.sched))
+            .collect();
+        let mut end = JobEnd::Done;
+        let mut write_error = None;
+        let summaries = simulate_grid_streamed(
+            &resolved.inst,
+            &resolved.sched,
+            &configs,
+            spec.delta_every,
+            |at| {
                 if let Some(out) = deltas.as_mut() {
                     let record = DeltaRecord {
                         job: claim.id.clone(),
-                        cell: idx,
-                        label: cell.label(),
-                        completed_runs: chunked.completed_runs(),
-                        total_runs: mc.runs,
-                        summary: chunked.snapshot(),
+                        cell: at.cell,
+                        label: cells[at.cell].label(),
+                        completed_runs: at.completed_runs,
+                        total_runs: at.total_runs,
+                        summary: at.snapshot(),
                     };
-                    let line = serde_json::to_string(&record)
-                        .map_err(|e| ServeError::Message(e.to_string()))?;
-                    writeln!(out, "{line}")?;
-                    out.flush()?;
+                    if let Err(e) = write_delta(out, &record) {
+                        write_error = Some(e);
+                        return ControlFlow::Break(());
+                    }
                 }
-            }
-            finished.push(CellResult {
-                label: cell.label(),
-                summary: chunked.finish(),
-            });
+                let last = at.cell + 1 == cells.len() && at.completed_runs == at.total_runs;
+                if !last && self.queue.cancelled(&claim.id) {
+                    end = JobEnd::Cancelled;
+                    return ControlFlow::Break(());
+                }
+                ControlFlow::Continue(())
+            },
+        );
+        if let Some(e) = write_error {
+            return Err(e);
         }
+        let Some(summaries) = summaries else {
+            return Ok(end);
+        };
+        let finished = cells
+            .iter()
+            .zip(summaries)
+            .map(|(cell, summary)| CellResult {
+                label: cell.label(),
+                summary,
+            })
+            .collect();
         let record = FinalRecord {
             job: claim.id.clone(),
             tenant: spec.tenant.clone(),
@@ -244,6 +252,14 @@ impl Daemon {
 enum JobEnd {
     Done,
     Cancelled,
+}
+
+/// Appends one delta line and flushes it, so clients tail it live.
+fn write_delta(out: &mut fs::File, record: &DeltaRecord) -> Result<(), ServeError> {
+    let line = serde_json::to_string(record).map_err(|e| ServeError::Message(e.to_string()))?;
+    writeln!(out, "{line}")?;
+    out.flush()?;
+    Ok(())
 }
 
 /// Whether the stop sentinel (`<root>/stop`) exists.

@@ -19,10 +19,11 @@
 //!   grid runner showed dominates wall-clock.
 //! * [`daemon`] — a bounded worker pool executing jobs concurrently with
 //!   **per-tenant fairness** (a worker claims from the tenant with the
-//!   fewest in-flight jobs), each job's cells run through
-//!   [`ChunkedBatch`](ft_runtime::ChunkedBatch) so **streaming result
-//!   deltas** (partial [`BatchSummary`](ft_runtime::BatchSummary)
-//!   snapshots every `delta_every` runs) land in
+//!   fewest in-flight jobs), each job's cells run as one pass of
+//!   [`simulate_grid_streamed`](ft_runtime::simulate_grid_streamed) so
+//!   **streaming result deltas** (partial
+//!   [`BatchSummary`](ft_runtime::BatchSummary) snapshots every
+//!   `delta_every` runs of a cell) land in
 //!   `<root>/results/<job>/deltas.jsonl` while the job runs, then an
 //!   atomically-renamed `final.json`.
 //! * [`job`] — the serde job surface: [`JobSpec`] (tenant + workload +
@@ -34,7 +35,7 @@
 //! [`simulate_many`](ft_runtime::simulate_many) — regardless of delta
 //! interval, worker count, or cache hits (pinned by
 //! `tests/service.rs`). Cancellation is a tombstone file checked
-//! between chunks; `ft-serve submit|status|watch|cancel` are thin
+//! at every delta boundary; `ft-serve submit|status|watch|cancel` are thin
 //! clients over the same directory protocol.
 //!
 //! ## Example

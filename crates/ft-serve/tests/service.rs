@@ -6,9 +6,10 @@
 //! via `simulate_many` — regardless of delta-snapshot interval, worker
 //! count, or cache hits.
 
+use ft_runtime::ChunkedBatch;
 use ft_serve::{
-    read_deltas, read_deltas_from, read_final, request_stop, ArtifactCache, Daemon, JobQueue,
-    JobSpec, JobState,
+    read_deltas, read_deltas_from, read_final, request_stop, ArtifactCache, Daemon, DeltaRecord,
+    JobQueue, JobSpec, JobState,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -26,10 +27,40 @@ fn cells_json(cells: &[ft_serve::CellResult]) -> String {
     serde_json::to_string(cells).unwrap()
 }
 
+/// The `deltas.jsonl` bytes job `id` must stream: each cell replayed
+/// through `ChunkedBatch::run_chunk(delta_every)` with a `snapshot` after
+/// every chunk (empty when streaming is off).
+fn replayed_deltas(spec: &JobSpec, id: &str) -> String {
+    let mut out = String::new();
+    if spec.delta_every == 0 {
+        return out;
+    }
+    let (inst, sched) = spec.workload.build();
+    let cells = spec.grid.cells(inst.mean_task_cost(), sched.latency());
+    for (idx, cell) in cells.iter().enumerate() {
+        let mc = cell.monte_carlo_config(&inst, &sched);
+        let mut chunked = ChunkedBatch::new(&inst, &sched, &mc, &mc.engine.policy);
+        while chunked.run_chunk(spec.delta_every) > 0 {
+            let record = DeltaRecord {
+                job: id.to_string(),
+                cell: idx,
+                label: cell.label(),
+                completed_runs: chunked.completed_runs(),
+                total_runs: mc.runs,
+                summary: chunked.snapshot(),
+            };
+            out.push_str(&serde_json::to_string(&record).unwrap());
+            out.push('\n');
+        }
+    }
+    out
+}
+
 #[test]
 fn daemon_final_record_is_byte_identical_to_direct_simulate_many() {
     // The determinism identity, across the three knobs the service adds:
-    // delta interval, worker count, cache temperature.
+    // delta interval, worker count, cache temperature. The streamed
+    // deltas must also match a per-cell chunked replay byte for byte.
     let spec = JobSpec::example("alice");
     let reference = cells_json(&spec.direct_cell_results());
     for (delta_every, workers) in [(0usize, 1usize), (1, 2), (7, 3), (1000, 2)] {
@@ -52,6 +83,15 @@ fn daemon_final_record_is_byte_identical_to_direct_simulate_many() {
                 reference,
                 "job {id} (delta_every={delta_every}, workers={workers}) \
                  diverged from direct simulate_many"
+            );
+            let streamed =
+                std::fs::read_to_string(root.join("results").join(id).join("deltas.jsonl"))
+                    .unwrap_or_default();
+            assert_eq!(
+                streamed,
+                replayed_deltas(&job, id),
+                "job {id} (delta_every={delta_every}) streamed other delta bytes \
+                 than a chunked replay"
             );
         }
         // One of the two same-workload jobs must have resolved warm —

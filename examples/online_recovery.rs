@@ -17,7 +17,7 @@
 //! each policy's mergeable metric histograms (latency, slowdown, work
 //! lost/saved, detection lag, action counters) as machine-readable JSON
 //! — the same `MetricSet` carried on every `BatchSummary`, byte-identical
-//! at any rayon thread count.
+//! at any batch thread count.
 //!
 //! With `--transient` (optionally `--mttr <factor of nominal>`, default
 //! 0.25) crashed processors reboot after exponential repairs: the demo

@@ -1,17 +1,26 @@
-//! Offline stand-in for the parts of `rayon` 1.x this workspace uses:
-//! `into_par_iter()` / `par_iter()` on ranges, vectors and slices, with
-//! `map`, `collect`, `sum`, `for_each`, `fold` and `reduce`.
+//! Offline stand-in for the part of `rayon` 1.x this workspace uses:
+//! [`scope`] with [`Scope::spawn`], and [`current_num_threads`].
 //!
-//! Execution model: the items are materialized, split into one contiguous
-//! chunk per available core, and processed on scoped `std::thread`s.
-//! Output order matches input order, so `collect()` is deterministic.
+//! Execution model: spawned jobs go into one queue per [`scope`] call,
+//! which helper threads (scoped `std::thread`s) drain. Each call starts
+//! one helper, and a helper that takes a job starts the next one, up to
+//! `current_num_threads() - 1` helpers, so a scope starts at most one
+//! helper more than it has jobs. The calling
+//! thread runs the scope's body, then helps drain the queue. `scope`
+//! returns once every spawned job has finished, and then re-raises the
+//! first panic of the body or of any job, as upstream rayon does. A job
+//! starts only when a thread is free — with one thread, not before the
+//! body returns — so a body must never wait for a spawned job to begin.
 
-/// Work-splitting threshold: below this many items, run sequentially.
-const SEQ_CUTOFF: usize = 2;
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
-fn num_threads() -> usize {
-    // Honor upstream rayon's RAYON_NUM_THREADS override (0 or unparsable
-    // values fall back to the detected parallelism, as upstream does).
+/// The number of threads a [`scope`] runs its jobs on: `RAYON_NUM_THREADS`
+/// when it parses to a positive number (as upstream honours it; 0 or an
+/// unparsable value falls back), else the detected parallelism.
+pub fn current_num_threads() -> usize {
     if let Ok(raw) = std::env::var("RAYON_NUM_THREADS") {
         if let Ok(n) = raw.trim().parse::<usize>() {
             if n > 0 {
@@ -24,312 +33,185 @@ fn num_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps `f` over `items` in parallel, preserving order.
-fn parallel_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    let threads = num_threads().min(items.len().max(1));
-    if threads <= 1 || items.len() < SEQ_CUTOFF {
-        return items.into_iter().map(f).collect();
-    }
-    let n = items.len();
-    let chunk = n.div_ceil(threads);
-    let mut slots: Vec<Option<Vec<R>>> = Vec::new();
-    slots.resize_with(threads, || None);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
+type Job<'scope> = Box<dyn FnOnce(&Scope<'scope>) + Send + 'scope>;
+
+/// A fork-join scope: jobs [spawned](Scope::spawn) into it may borrow
+/// anything that outlives `'scope`, and all of them have finished when
+/// [`scope`] returns.
+pub struct Scope<'scope> {
+    state: Mutex<State<'scope>>,
+    wake: Condvar,
+}
+
+struct State<'scope> {
+    jobs: VecDeque<Job<'scope>>,
+    /// Helper threads still allowed to start.
+    spare_threads: usize,
+    body_done: bool,
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl<'scope> Scope<'scope> {
+    /// Queues `body` to run on the scope's threads.
+    pub fn spawn<BODY>(&self, body: BODY)
+    where
+        BODY: FnOnce(&Scope<'scope>) + Send + 'scope,
     {
-        let mut it = items.into_iter();
+        self.lock().jobs.push_back(Box::new(body));
+        self.wake.notify_one();
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State<'scope>> {
+        // Jobs and the body run outside the lock, and their panics are
+        // caught, so nothing can poison it.
+        self.state.lock().expect("rayon shim: scope lock poisoned")
+    }
+
+    /// Runs queued jobs until the queue is empty — and, when
+    /// `until_body_done`, until the body has also returned. Taking a job
+    /// starts one more helper, if one is spare.
+    fn work<'s>(&'s self, threads: &'s std::thread::Scope<'s, '_>, until_body_done: bool) {
         loop {
-            let c: Vec<T> = it.by_ref().take(chunk).collect();
-            if c.is_empty() {
-                break;
-            }
-            chunks.push(c);
-        }
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (slot, c) in slots.iter_mut().zip(chunks) {
-            handles.push(scope.spawn(move || {
-                *slot = Some(c.into_iter().map(f).collect());
-            }));
-        }
-        for h in handles {
-            h.join().expect("rayon shim worker panicked");
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for s in slots.into_iter().flatten() {
-        out.extend(s);
-    }
-    out
-}
-
-/// A materialized parallel iterator.
-pub struct ParIter<T: Send> {
-    items: Vec<T>,
-}
-
-/// A mapped parallel iterator (lazy: runs at the consuming call).
-pub struct Map<T: Send, F> {
-    items: Vec<T>,
-    f: F,
-}
-
-/// Consuming operations shared by all parallel iterators.
-pub trait ParallelIterator: Sized {
-    /// The element type.
-    type Item: Send;
-
-    /// Runs the pipeline, yielding the results in input order.
-    fn run(self) -> Vec<Self::Item>;
-
-    /// Applies `f` to every element in parallel.
-    fn map<R: Send, F: Fn(Self::Item) -> R + Sync>(self, f: F) -> Map<Self::Item, MapFn<Self, F>>
-    where
-        Self: Sized,
-    {
-        Map {
-            items: self.run(),
-            f: MapFn(f, std::marker::PhantomData),
-        }
-    }
-
-    /// Collects into a container (only `Vec` supported).
-    fn collect<C: FromParallel<Self::Item>>(self) -> C {
-        C::from_ordered(self.run())
-    }
-
-    /// Sums the elements.
-    fn sum<S: std::iter::Sum<Self::Item>>(self) -> S {
-        self.run().into_iter().sum()
-    }
-
-    /// Calls `f` on every element in parallel, discarding results.
-    fn for_each<F: Fn(Self::Item) + Sync>(self, f: F)
-    where
-        Self::Item: Send,
-    {
-        let _ = parallel_map(self.run(), f);
-    }
-
-    /// Folds contiguous chunks of the input in parallel, yielding one
-    /// accumulator per chunk **in input order** (as in rayon, the number
-    /// of chunks is an execution detail; consumers must combine the
-    /// accumulators with an operation whose result is independent of the
-    /// chunk boundaries).
-    fn fold<A, ID, F>(self, identity: ID, fold_op: F) -> ParIter<A>
-    where
-        A: Send,
-        ID: Fn() -> A + Sync,
-        F: Fn(A, Self::Item) -> A + Sync,
-    {
-        let items = self.run();
-        let threads = num_threads().min(items.len().max(1));
-        if threads <= 1 || items.len() < SEQ_CUTOFF {
-            let acc = items.into_iter().fold(identity(), &fold_op);
-            return ParIter { items: vec![acc] };
-        }
-        let n = items.len();
-        let chunk_len = n.div_ceil(threads);
-        let mut chunks: Vec<Vec<Self::Item>> = Vec::with_capacity(threads);
-        {
-            let mut it = items.into_iter();
-            loop {
-                let c: Vec<Self::Item> = it.by_ref().take(chunk_len).collect();
-                if c.is_empty() {
-                    break;
+            let (job, grow) = {
+                let mut state = self.lock();
+                loop {
+                    if let Some(job) = state.jobs.pop_front() {
+                        let grow = state.spare_threads > 0;
+                        if grow {
+                            state.spare_threads -= 1;
+                        }
+                        break (job, grow);
+                    }
+                    if state.body_done || !until_body_done {
+                        return;
+                    }
+                    state = self
+                        .wake
+                        .wait(state)
+                        .expect("rayon shim: scope lock poisoned");
                 }
-                chunks.push(c);
+            };
+            if grow {
+                threads.spawn(move || self.work(threads, true));
+            }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(self))) {
+                self.lock().panic.get_or_insert(payload);
             }
         }
-        let mut slots: Vec<Option<A>> = Vec::new();
-        slots.resize_with(chunks.len(), || None);
-        let (identity, fold_op) = (&identity, &fold_op);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (slot, c) in slots.iter_mut().zip(chunks) {
-                handles.push(scope.spawn(move || {
-                    *slot = Some(c.into_iter().fold(identity(), fold_op));
-                }));
+    }
+}
+
+/// Runs `op` with a [`Scope`] that jobs can be spawned into, and returns
+/// its result once every spawned job has finished. A panic in `op` or in
+/// a job is re-raised here, after all jobs have ended.
+pub fn scope<'scope, OP, R>(op: OP) -> R
+where
+    OP: FnOnce(&Scope<'scope>) -> R + Send,
+    R: Send,
+{
+    let helpers = current_num_threads() - 1;
+    let scope = Scope {
+        state: Mutex::new(State {
+            jobs: VecDeque::new(),
+            spare_threads: helpers.saturating_sub(1),
+            body_done: false,
+            panic: None,
+        }),
+        wake: Condvar::new(),
+    };
+    let result = std::thread::scope(|threads| {
+        if helpers > 0 {
+            threads.spawn(|| scope.work(threads, true));
+        }
+        let result = catch_unwind(AssertUnwindSafe(|| op(&scope)));
+        let mut state = scope.lock();
+        state.body_done = true;
+        let value = match result {
+            Ok(value) => Some(value),
+            Err(payload) => {
+                state.panic.get_or_insert(payload);
+                None
             }
-            for h in handles {
-                h.join().expect("rayon shim worker panicked");
-            }
-        });
-        ParIter {
-            items: slots.into_iter().flatten().collect(),
-        }
+        };
+        drop(state);
+        scope.wake.notify_all();
+        scope.work(threads, false);
+        value
+    });
+    let state = scope
+        .state
+        .into_inner()
+        .expect("rayon shim: scope lock poisoned");
+    match state.panic {
+        Some(payload) => resume_unwind(payload),
+        None => result.expect("a body that did not panic returned a value"),
     }
-
-    /// Reduces the elements to one value by a **left fold in input order**
-    /// starting from `identity()` (deterministic; rayon only guarantees an
-    /// unspecified reduction tree, so portable callers must pass an
-    /// associative `op`).
-    fn reduce<ID, OP>(self, identity: ID, op: OP) -> Self::Item
-    where
-        ID: Fn() -> Self::Item + Sync,
-        OP: Fn(Self::Item, Self::Item) -> Self::Item + Sync,
-    {
-        self.run().into_iter().fold(identity(), op)
-    }
-}
-
-/// Function wrapper tying the mapped closure to its source iterator type.
-pub struct MapFn<I, F>(F, std::marker::PhantomData<fn() -> I>);
-
-impl<T: Send> ParallelIterator for ParIter<T> {
-    type Item = T;
-    fn run(self) -> Vec<T> {
-        self.items
-    }
-}
-
-impl<T: Send, R: Send, I, F: Fn(T) -> R + Sync> ParallelIterator for Map<T, MapFn<I, F>> {
-    type Item = R;
-    fn run(self) -> Vec<R> {
-        let f = self.f.0;
-        parallel_map(self.items, f)
-    }
-}
-
-/// Conversion into an owning parallel iterator.
-pub trait IntoParallelIterator {
-    /// Element type.
-    type Item: Send;
-    /// Builds the iterator.
-    fn into_par_iter(self) -> ParIter<Self::Item>;
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    fn into_par_iter(self) -> ParIter<T> {
-        ParIter { items: self }
-    }
-}
-
-impl IntoParallelIterator for std::ops::Range<usize> {
-    type Item = usize;
-    fn into_par_iter(self) -> ParIter<usize> {
-        ParIter {
-            items: self.collect(),
-        }
-    }
-}
-
-impl IntoParallelIterator for std::ops::Range<u64> {
-    type Item = u64;
-    fn into_par_iter(self) -> ParIter<u64> {
-        ParIter {
-            items: self.collect(),
-        }
-    }
-}
-
-/// Borrowing parallel iteration (`.par_iter()`).
-pub trait IntoParallelRefIterator<'a> {
-    /// Borrowed element type.
-    type Item: Send;
-    /// Builds the iterator over references.
-    fn par_iter(&'a self) -> ParIter<Self::Item>;
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = &'a T;
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-/// Target containers for [`ParallelIterator::collect`].
-pub trait FromParallel<T> {
-    /// Builds the container from in-order results.
-    fn from_ordered(items: Vec<T>) -> Self;
-}
-
-impl<T> FromParallel<T> for Vec<T> {
-    fn from_ordered(items: Vec<T>) -> Self {
-        items
-    }
-}
-
-/// One-stop imports mirroring `rayon::prelude::*`.
-pub mod prelude {
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelIterator};
 }
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn map_collect_preserves_order() {
-        let squares: Vec<u64> = (0u64..1000).into_par_iter().map(|i| i * i).collect();
-        let expected: Vec<u64> = (0u64..1000).map(|i| i * i).collect();
-        assert_eq!(squares, expected);
+    fn every_spawned_job_runs_before_scope_returns() {
+        let ran = AtomicUsize::new(0);
+        let value = scope(|s| {
+            for _ in 0..20 {
+                s.spawn(|_| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            7
+        });
+        assert_eq!(value, 7);
+        assert_eq!(ran.load(Ordering::SeqCst), 20);
     }
 
     #[test]
-    fn par_iter_borrows() {
-        let data = vec![1u64, 2, 3, 4];
-        let doubled: Vec<u64> = data.par_iter().map(|&x| x * 2).collect();
-        assert_eq!(doubled, vec![2, 4, 6, 8]);
-        assert_eq!(data.len(), 4);
+    fn jobs_may_spawn_more_jobs() {
+        let ran = AtomicUsize::new(0);
+        scope(|s| {
+            s.spawn(|s| {
+                for _ in 0..5 {
+                    s.spawn(|_| {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+            });
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), 5);
     }
 
     #[test]
-    fn sum_works() {
-        let s: u64 = (0u64..100).into_par_iter().map(|x| x).sum();
-        assert_eq!(s, 4950);
-    }
-
-    #[test]
-    fn empty_input() {
-        let v: Vec<u64> = Vec::<u64>::new().into_par_iter().map(|x| x).collect();
-        assert!(v.is_empty());
-    }
-
-    #[test]
-    fn fold_reduce_matches_sequential() {
-        let total: u64 = (0u64..10_000)
-            .into_par_iter()
-            .fold(|| 0u64, |acc, x| acc + x)
-            .reduce(|| 0u64, |a, b| a + b);
-        assert_eq!(total, (0u64..10_000).sum::<u64>());
-    }
-
-    #[test]
-    fn fold_chunks_cover_input_in_order() {
-        // Each chunk accumulator collects its items; concatenating the
-        // chunks in yielded order must reproduce the input exactly.
-        let chunks: Vec<Vec<u64>> = (0u64..1000)
-            .into_par_iter()
-            .fold(Vec::new, |mut acc, x| {
-                acc.push(x);
-                acc
+    fn a_job_panic_is_re_raised_with_its_payload() {
+        let ran = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            scope(|s| {
+                s.spawn(|_| panic!("job boom"));
+                s.spawn(|_| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
             })
-            .collect();
-        let flat: Vec<u64> = chunks.into_iter().flatten().collect();
-        assert_eq!(flat, (0u64..1000).collect::<Vec<u64>>());
+        }));
+        let payload = caught.expect_err("the job's panic must surface");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job boom"));
+        assert_eq!(ran.load(Ordering::SeqCst), 1, "the other job still ran");
     }
 
     #[test]
-    fn fold_reduce_empty_is_identity() {
-        let total: u64 = Vec::<u64>::new()
-            .into_par_iter()
-            .fold(|| 7u64, |acc, x| acc + x)
-            .reduce(|| 0u64, |a, b| a + b);
-        // One chunk accumulator (the identity) is still produced.
-        assert_eq!(total, 7);
+    fn a_body_panic_is_re_raised_after_the_jobs_end() {
+        let ran = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            scope(|s| {
+                s.spawn(|_| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+                panic!("body boom");
+            })
+        }));
+        let payload = caught.expect_err("the body's panic must surface");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"body boom"));
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
     }
 }

@@ -29,10 +29,10 @@
 //!    of a task starts no earlier than some completed computation of each
 //!    of its predecessors (checkpoint resumes are exempt: their state
 //!    subsumes the inputs).
-//! 5. **`BatchSummary` is thread-count independent** — the rayon
-//!    fold/reduce streaming aggregation equals the sequential
-//!    one-accumulator path byte-for-byte (CI runs this suite under both
-//!    `RAYON_NUM_THREADS=1` and the default thread count).
+//! 5. **`BatchSummary` is thread-count independent** — the batch
+//!    executor's streaming aggregation equals the sequential
+//!    one-accumulator path byte-for-byte (CI runs this suite under
+//!    `RAYON_NUM_THREADS=1`, `3` and the default thread count).
 //! 6. **A no-op custom `Policy` is `Absorb`** — all-default trait hooks
 //!    produce a trace-identical run (outcome bytes, ops, event log) to
 //!    the built-in baseline: the open dispatch path adds nothing of its
@@ -304,7 +304,7 @@ proptest! {
     }
 
     /// Invariant 5: the streaming Monte-Carlo aggregation is independent
-    /// of the rayon thread count and chunking — the parallel fold/reduce
+    /// of the batch thread count and chunking — the parallel block merge
     /// equals the sequential one-accumulator path byte-for-byte, with
     /// transient failure draws exercising the availability machine.
     #[test]
@@ -564,10 +564,10 @@ proptest! {
         let c = summarize(tree);
         prop_assert_eq!(&a, &b, "left fold drifted from the sequential accumulator");
         prop_assert_eq!(&a, &c, "pairwise merge tree drifted from the sequential accumulator");
-        // And the streamed batch (whatever merge tree rayon used today)
-        // agrees too — metrics included.
+        // And the streamed batch (whatever blocks the executor cut and
+        // whichever thread ran them) agrees too — metrics included.
         let streamed = serde_json::to_string(&simulate_many(&inst, &sched, &cfg)).unwrap();
-        prop_assert_eq!(&a, &streamed, "rayon's merge tree drifted from the sequential accumulator");
+        prop_assert_eq!(&a, &streamed, "the executor's block merge drifted from the sequential accumulator");
     }
 
     /// Invariant 9: a `MetricSet` survives a serde round-trip

@@ -601,7 +601,7 @@ proptest! {
     /// aggregation is byte-identical to the old collect-then-summarize
     /// path — and to any other partition of the runs into mergeable
     /// accumulators, which is what makes the summary independent of the
-    /// rayon thread count.
+    /// batch thread count.
     #[test]
     fn streaming_batches_match_collect_then_summarize(
         (seed, tasks, procs, eps, gran) in arb_workload(),
