@@ -2231,10 +2231,6 @@ impl<'a> Engine<'a> {
         spec.remnant.clear();
         spec.remnant
             .extend((0..v).map(|t| !self.task_believed_safe(t)));
-        if !spec.remnant.contains(&true) {
-            // Nothing left to plan: the repair would be an empty schedule.
-            return;
-        }
         // Frontier sources, pre-sorted exactly like `Ctx::for_subdag` sorts
         // (by finish then proc) and capped at ε+1, so pseudo-replica copy
         // indices align with `src_ops`.
