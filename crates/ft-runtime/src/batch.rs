@@ -1534,5 +1534,8 @@ mod tests {
             entered, left,
             "a run was still in flight after the pass returned"
         );
+        if rayon::current_num_threads() > 1 {
+            assert!(entered > 0, "no helper was held in a run at the stop");
+        }
     }
 }

@@ -188,8 +188,8 @@ impl Daemon {
             .iter()
             .map(|cell| cell.monte_carlo_config(&resolved.inst, &resolved.sched))
             .collect();
-        let mut end = JobEnd::Done;
-        let mut write_error = None;
+        // Why the pass stopped, if the hook stops it.
+        let mut stopped = Ok(JobEnd::Cancelled);
         let summaries = simulate_grid_streamed(
             &resolved.inst,
             &resolved.sched,
@@ -206,23 +206,19 @@ impl Daemon {
                         summary: at.snapshot(),
                     };
                     if let Err(e) = write_delta(out, &record) {
-                        write_error = Some(e);
+                        stopped = Err(e);
                         return ControlFlow::Break(());
                     }
                 }
                 let last = at.cell + 1 == cells.len() && at.completed_runs == at.total_runs;
                 if !last && self.queue.cancelled(&claim.id) {
-                    end = JobEnd::Cancelled;
                     return ControlFlow::Break(());
                 }
                 ControlFlow::Continue(())
             },
         );
-        if let Some(e) = write_error {
-            return Err(e);
-        }
         let Some(summaries) = summaries else {
-            return Ok(end);
+            return stopped;
         };
         let finished = cells
             .iter()
